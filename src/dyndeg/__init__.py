@@ -17,6 +17,7 @@ from .cohomology import (
     Space,
     SpaceMismatchError,
     alpha,
+    alpha_weight,
     base_pullback_power,
     effective_leq,
     hyperplane,

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import monomial, oracle, rational, suite as suite_mod
-from .cohomology import Space
+from .cohomology import Space, alpha, mass
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     DEFAULT_EXACT_TOL,
@@ -278,7 +278,7 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
         checks[f"product_formula_{name}"] = product_formula(prof, tol, ps).to_dict()
         checks[f"lower_bound_{name}"] = lower_bound_check(prof, tol, ps).to_dict()
         if job.kind == "monomial":
-            checks[f"distinctness_{name}"] = distinctness_implication(prof, 1e-6).to_dict()
+            checks[f"distinctness_{name}"] = distinctness_implication(prof, tol).to_dict()
     statuses = {c["status"] for c in checks.values()}
     overall = (
         "FAIL" if "FAIL" in statuses
@@ -312,26 +312,29 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
 
 
 def _monomial_sequences(job: Job) -> list[dict]:
+    """Every sequence of f reads the one pullback table of its grading."""
     f = job.map
     k = f.dim
-    out = []
-    for p in _grading_list(job, k):
-        out.append({"kind": "total", "p": p, "q": None,
-                    "values": monomial.lambda_sequence(f, p, job.n_max)})
-    if f.fibration_dim is not None:
-        l = f.fibration_dim
+    grading = _grading_list(job, k)
+    l = f.fibration_dim
+    needed = set(grading) if l is None else set(grading) | set(range(k - l + 1))
+    tables = {p: monomial.pullback_class_sequence(f, p, job.n_max) for p in sorted(needed)}
+    out = [{"kind": "total", "p": p, "q": None, "values": [mass(c) for c in tables[p]]}
+           for p in grading]
+    if l is not None:
         for j in range(l + 1):
             out.append({"kind": "base", "p": j, "q": None,
                         "values": monomial.c_p_sequence(f.base_block(), j, job.n_max)})
         for p in range(k - l + 1):
             out.append({"kind": "relative", "p": p, "q": None,
-                        "values": monomial.lambda_relative_sequence(f, p, job.n_max)})
-        for p in _grading_list(job, k):
-            for q in monomial.admissible_q(f, p):
-                out.append({"kind": "mixed", "p": p, "q": q,
-                            "values": monomial.a_qp_sequence(f, q, p, job.n_max)})
+                        "values": [alpha(c, 0) for c in tables[p]]})
+        for p in grading:
+            mixed = {q: [alpha(c, p - q) for c in tables[p]]
+                     for q in monomial.admissible_q(f, p)}
+            out += [{"kind": "mixed", "p": p, "q": q, "values": values}
+                    for q, values in mixed.items()]
             out.append({"kind": "summed", "p": p, "q": None,
-                        "values": monomial.b_p_sequence(f, p, job.n_max)})
+                        "values": [sum(column) for column in zip(*mixed.values())]})
     return out
 
 

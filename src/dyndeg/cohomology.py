@@ -304,6 +304,17 @@ def base_pullback_power(space: Space, j: int) -> CohClass:
     return mul(base_pullback_power(space, j - 1), omega_base)
 
 
+@lru_cache(maxsize=None)
+def alpha_weight(space: Space, p: int, j: int) -> CohClass:
+    """(pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}: the weight alpha pairs a
+    degree-p class against (L the base dimension, k = dim X)."""
+    big_l = space.base_dim
+    return mul(
+        base_pullback_power(space, big_l - j),
+        kaehler_power(space, space.dim - big_l - p + j),
+    )
+
+
 def alpha(c: CohClass, j: int) -> int:
     """Mixed pairing <c, (pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}>.
 
@@ -316,20 +327,15 @@ def alpha(c: CohClass, j: int) -> int:
     space = c.space
     if space.base_factors is None:
         raise FibrationError("alpha needs a marked fibration")
-    k = space.dim
     big_l = space.base_dim
     p = c.degree
-    lo = max(0, p - k + big_l)
+    lo = max(0, p - space.dim + big_l)
     hi = min(p, big_l)
     if not lo <= j <= hi:
         raise DegreeRangeError(
             f"alpha index {j} outside admissible window {lo}..{hi}"
         )
-    weight = mul(
-        base_pullback_power(space, big_l - j),
-        kaehler_power(space, k - big_l - p + j),
-    )
-    return pair(c, weight)
+    return pair(c, alpha_weight(space, p, j))
 
 
 def effective_leq(c1: CohClass, c2: CohClass) -> bool:

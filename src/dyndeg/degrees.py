@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
-from .cohomology import FibrationError
+from .cohomology import FibrationError, alpha, mass
 
 DEFAULT_ESTIMATE_TOL = 5e-2
 DEFAULT_EXACT_TOL = 1e-9
@@ -444,13 +444,14 @@ def monomial_engine_profile(
     n_max: int,
     tol: float = DEFAULT_ESTIMATE_TOL,
 ) -> DegreeProfile:
-    """Degree profile estimated from exact pullback sequences of f."""
+    """Degree profile estimated from exact pullback sequences of f.
+
+    Total and relative degrees of grading p read the same pullback table.
+    """
     k = f.dim
+    tables = [monomial.pullback_class_sequence(f, p, n_max) for p in range(k + 1)]
     degrees = _estimated_values(
-        (
-            DegreeSequence("total", p, monomial.lambda_sequence(f, p, n_max))
-            for p in range(k + 1)
-        ),
+        (DegreeSequence("total", p, [mass(c) for c in table]) for p, table in enumerate(tables)),
         tol,
     )
     if f.fibration_dim is None:
@@ -465,7 +466,7 @@ def monomial_engine_profile(
     )
     relative = _estimated_values(
         (
-            DegreeSequence("relative", p, monomial.lambda_relative_sequence(f, p, n_max))
+            DegreeSequence("relative", p, [alpha(c, 0) for c in tables[p]])
             for p in range(k - l + 1)
         ),
         tol,

@@ -15,6 +15,12 @@ is taken entrywise *after* powering.  This keeps the sequences exact
 integers, multiplicative over subsets (Cauchy-Binet), and with n-th roots
 converging to the products of the p largest eigenvalue moduli.
 
+Every sequence here reads one table, the classes (f^n)^* omega^p for
+n = 0..N from pullback_class_sequence, and pairs each class against one
+fixed weight class: the total sequence takes its mass, the relative and
+mixed sequences take alpha(., j) (relative is j = 0, a_{q,p} is j = p - q),
+and the summed sequence b_p adds alpha(., j) over the admissible window.
+
 When a fibration by the first l coordinates is marked, A must be block
 lower-triangular for the split {0..l-1} | {l..k-1}; the base block then
 drives the base sequences (c_p) and the fiber block the relative ones.
@@ -31,11 +37,9 @@ from .cohomology import (
     DegreeRangeError,
     FibrationError,
     Space,
+    alpha,
     kaehler_power,
     mass,
-    mul,
-    pair,
-    base_pullback_power,
 )
 from .intmat import IntMatrix, det, freeze, identity, mat_mul, submatrix
 
@@ -189,27 +193,10 @@ def lambda_p(f: MonomialMap, p: int, n: int) -> int:
     return lambda_sequence(f, p, n)[n]
 
 
-def _base_dim(f: MonomialMap) -> int:
-    if f.fibration_dim is None:
-        raise FibrationError("relative sequences need a marked fibration")
-    return f.space.base_dim
-
-
 def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
-    """Relative degree sequence: pullback class cut down by the full base power.
-
-    Defined for 0 <= p <= k - l; pairs (f^n)^* omega^p . (pi^* omega_Y)^l
-    against omega^{k-l-p}.
-    """
-    big_l = _base_dim(f)
-    if not 0 <= p <= f.dim - big_l:
-        raise DegreeRangeError(
-            f"relative degree {p} out of range 0..{f.dim - big_l}"
-        )
-    space = f.space
-    cut = base_pullback_power(space, big_l)
-    weight = kaehler_power(space, space.dim - big_l - p)
-    return [pair(mul(c, cut), weight) for c in pullback_class_sequence(f, p, n_max)]
+    """Relative degree sequence alpha((f^n)^* omega^p, 0): the pullback class
+    cut down by the full base power.  Defined for 0 <= p <= k - l."""
+    return [alpha(c, 0) for c in pullback_class_sequence(f, p, n_max)]
 
 
 def lambda_relative(f: MonomialMap, p: int, n: int) -> int:
@@ -217,28 +204,19 @@ def lambda_relative(f: MonomialMap, p: int, n: int) -> int:
 
 
 def admissible_q(f: MonomialMap, p: int) -> range:
-    big_l = _base_dim(f)
+    if f.fibration_dim is None:
+        raise FibrationError("relative sequences need a marked fibration")
+    big_l = f.space.base_dim
     return range(max(0, p - big_l), min(p, f.dim - big_l) + 1)
 
 
 def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
-    """Mixed sequence a_{q,p}(n): base power l-p+q against omega^{k-l-q}.
+    """Mixed sequence a_{q,p}(n) = alpha((f^n)^* omega^p, p - q).
 
     Admissible window: max(0, p-l) <= q <= min(p, k-l).  At q = p this is
-    the same pairing as lambda_relative_sequence.
+    lambda_relative_sequence.
     """
-    big_l = _base_dim(f)
-    if not 0 <= p <= f.dim:
-        raise DegreeRangeError(f"degree {p} out of range 0..{f.dim}")
-    window = admissible_q(f, p)
-    if q not in window:
-        raise DegreeRangeError(
-            f"index q = {q} outside admissible window {window.start}..{window.stop - 1}"
-        )
-    space = f.space
-    cut = base_pullback_power(space, big_l - p + q)
-    weight = kaehler_power(space, space.dim - big_l - q)
-    return [pair(mul(c, cut), weight) for c in pullback_class_sequence(f, p, n_max)]
+    return [alpha(c, p - q) for c in pullback_class_sequence(f, p, n_max)]
 
 
 def a_qp(f: MonomialMap, q: int, p: int, n: int) -> int:
@@ -251,18 +229,8 @@ def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     The n-th roots converge to the same limit as lambda_p's: the q-sum is a
     fixed positive reweighting of the same compound-power column data.
     """
-    big_l = _base_dim(f)
-    if not 0 <= p <= f.dim:
-        raise DegreeRangeError(f"degree {p} out of range 0..{f.dim}")
-    space = f.space
-    classes = pullback_class_sequence(f, p, n_max)
-    totals = [0] * (n_max + 1)
-    for q in admissible_q(f, p):
-        cut = base_pullback_power(space, big_l - p + q)
-        weight = kaehler_power(space, space.dim - big_l - q)
-        for n, c in enumerate(classes):
-            totals[n] += pair(mul(c, cut), weight)
-    return totals
+    qs = admissible_q(f, p)
+    return [sum(alpha(c, p - q) for q in qs) for c in pullback_class_sequence(f, p, n_max)]
 
 
 def b_p(f: MonomialMap, p: int, n: int) -> int:

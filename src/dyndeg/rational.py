@@ -33,17 +33,8 @@ from typing import Sequence
 import sympy
 from sympy.polys import Poly
 
-from .cohomology import (
-    CohClass,
-    FibrationError,
-    Space,
-    base_pullback_power,
-    kaehler_power,
-    mass,
-    mul,
-    pair,
-)
-from .intmat import IntMatrix, freeze
+from .cohomology import CohClass, FibrationError, Space, alpha, mass
+from .intmat import IntMatrix, freeze, identity
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
 DEFAULT_N_MAX = 8
@@ -512,7 +503,7 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
 
 @dataclass(frozen=True)
 class IterateData:
-    """Reduced iterate data: f^1..f^N with multidegrees and degree masses.
+    """Reduced iterate data: multidegrees of f^1..f^N and degree masses.
 
     lambda1[n] = mass((f^n)^* omega) for n = 0..N (index 0 is the identity
     normalization).  truncated is set when the per-component total-degree
@@ -520,7 +511,6 @@ class IterateData:
     prefix.
     """
 
-    maps: tuple[RationalMapDesc, ...]
     multidegrees: tuple[IntMatrix, ...]
     lambda1: tuple[int, ...]
     truncated: bool
@@ -530,15 +520,13 @@ class IterateData:
         return len(self.multidegrees)
 
 
-def _lambda1_from_multidegree(space: Space, rows: IntMatrix) -> int:
-    coeffs: dict[tuple[int, ...], int] = {}
-    for row in rows:
-        for j, d in enumerate(row):
-            if d:
-                e = tuple(1 if t == j else 0 for t in range(space.num_factors))
-                coeffs[e] = coeffs.get(e, 0) + d
-    c = CohClass.make(space, 1, coeffs)
-    return mass(c)
+def _pullback_class(space: Space, rows: IntMatrix) -> CohClass:
+    """(f^n)^* omega from the multidegree matrix of f^n: row i pulls h_i
+    back to sum_j rows[i][j] h_j."""
+    m = space.num_factors
+    return CohClass.make(space, 1, {
+        tuple(int(t == j) for t in range(m)): sum(row[j] for row in rows) for j in range(m)
+    })
 
 
 def iterate_multidegrees(
@@ -555,11 +543,7 @@ def iterate_multidegrees(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     space = f.space
-    identity_rows = freeze(
-        [[1 if i == j else 0 for j in range(space.num_factors)] for i in range(space.num_factors)]
-    )
-    lambda1 = [_lambda1_from_multidegree(space, identity_rows)]
-    maps: list[RationalMapDesc] = []
+    lambda1 = [mass(_pullback_class(space, identity(space.num_factors)))]
     multidegrees: list[IntMatrix] = []
     current = None
     truncated = False
@@ -569,10 +553,9 @@ def iterate_multidegrees(
         if any(sum(row) > max_total_degree for row in degs):
             truncated = True
             break
-        maps.append(current)
         multidegrees.append(degs)
-        lambda1.append(_lambda1_from_multidegree(space, degs))
-    return IterateData(tuple(maps), tuple(multidegrees), tuple(lambda1), truncated)
+        lambda1.append(mass(_pullback_class(space, degs)))
+    return IterateData(tuple(multidegrees), tuple(lambda1), truncated)
 
 
 def validate_skew(f: RationalMapDesc) -> bool:
@@ -618,37 +601,17 @@ def fiber_degree(
 ) -> int:
     """Degree of f^n along the generic fiber of the marked projection.
 
-    Computed from the reduced multidegree matrix of f^n: the pullback class
-    of omega is cut by the full base power and paired against the
-    complementary omega power, which isolates the fiber-variable degrees of
-    the fiber components.
+    The n-th entry of fiber_degree_sequence; raises ValueError when the
+    degree cap stops the iteration before f^n.
     """
-    l = _require_skew(f)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    space = f.space.with_base(l)
-    big_l = space.base_dim
-    if n == 0:
-        rows = freeze(
-            [[1 if i == j else 0 for j in range(space.num_factors)] for i in range(space.num_factors)]
+    values = fiber_degree_sequence(f, max(n, 1), max_total_degree)
+    if len(values) <= n:
+        raise ValueError(
+            f"degree cap reached before n = {n} (got {len(values) - 1})"
         )
-    else:
-        data = iterate_multidegrees(f, n, max_total_degree)
-        if data.n_max < n:
-            raise ValueError(
-                f"degree cap reached before n = {n} (got {data.n_max})"
-            )
-        rows = data.multidegrees[n - 1]
-    coeffs: dict[tuple[int, ...], int] = {}
-    for row in rows:
-        for j, d in enumerate(row):
-            if d:
-                e = tuple(1 if t == j else 0 for t in range(space.num_factors))
-                coeffs[e] = coeffs.get(e, 0) + d
-    pullback = CohClass.make(space, 1, coeffs)
-    cut = base_pullback_power(space, big_l)
-    weight = kaehler_power(space, space.dim - big_l - 1)
-    return pair(mul(pullback, cut), weight)
+    return values[n]
 
 
 def fiber_degree_sequence(
@@ -656,23 +619,17 @@ def fiber_degree_sequence(
     n_max: int,
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
 ) -> list[int]:
-    l = _require_skew(f)
-    space = f.space.with_base(l)
-    big_l = space.base_dim
-    cut = base_pullback_power(space, big_l)
-    weight = kaehler_power(space, space.dim - big_l - 1)
+    """Fiber degrees of f^0..f^N from the reduced multidegree matrices.
+
+    The pullback class of omega is cut by the full base power and paired
+    against the complementary omega power, alpha(., 0), which isolates the
+    fiber-variable degrees of the fiber components.  The list stops early
+    when the degree cap truncates the iteration.
+    """
+    space = f.space.with_base(_require_skew(f))
     data = iterate_multidegrees(f, n_max, max_total_degree)
-    out = [fiber_degree(f, 0)]
-    for rows in data.multidegrees:
-        coeffs: dict[tuple[int, ...], int] = {}
-        for row in rows:
-            for j, d in enumerate(row):
-                if d:
-                    e = tuple(1 if t == j else 0 for t in range(space.num_factors))
-                    coeffs[e] = coeffs.get(e, 0) + d
-        pullback = CohClass.make(space, 1, coeffs)
-        out.append(pair(mul(pullback, cut), weight))
-    return out
+    rows = (identity(space.num_factors),) + data.multidegrees
+    return [alpha(_pullback_class(space, r), 0) for r in rows]
 
 
 def _rank(matrix: list[list[Fraction]]) -> int:

@@ -28,15 +28,7 @@ import random
 from dataclasses import dataclass
 
 from . import monomial, sampling
-from .cohomology import (
-    CohClass,
-    alpha,
-    base_pullback_power,
-    degree_exponents,
-    kaehler_power,
-    mul,
-    pair,
-)
+from .cohomology import CohClass, alpha, degree_exponents, mass
 from .degrees import (
     DEFAULT_EXACT_TOL,
     Verdict,
@@ -166,20 +158,13 @@ def _pairing_weight_range(f: monomial.MonomialMap, p: int) -> tuple[int, int, in
     pullback coefficients with positive integer weights; the extremes give
     an exact sandwich between the two sequences at every n.
     """
-    space = f.space
-    k, l = f.dim, f.fibration_dim
+    qs = monomial.admissible_q(f, p)
     lam_weights = []
     summed_weights = []
-    for e in degree_exponents(space, p):
-        indicator = CohClass.make(space, p, {e: 1})
-        lam_weights.append(pair(indicator, kaehler_power(space, k - p)))
-        total = 0
-        for q in monomial.admissible_q(f, p):
-            total += pair(
-                mul(indicator, base_pullback_power(space, l - p + q)),
-                kaehler_power(space, k - l - q),
-            )
-        summed_weights.append(total)
+    for e in degree_exponents(f.space, p):
+        indicator = CohClass.make(f.space, p, {e: 1})
+        lam_weights.append(mass(indicator))
+        summed_weights.append(sum(alpha(indicator, p - q) for q in qs))
     return min(summed_weights), max(summed_weights), min(lam_weights), max(lam_weights)
 
 

@@ -130,6 +130,22 @@ class TestVerifyProductCommand:
         assert {"product_formula_oracle", "product_formula_engine",
                 "lower_bound_oracle", "distinctness_oracle"} <= set(payload["checks"])
 
+    def test_engine_distinctness_uses_job_tolerance(self, capsys, tmp_path):
+        # exact d_5 = d_6 = 403; the engine estimates them 402.9994 and 403,
+        # which a 1e-6 tolerance would call distinct and FAIL on.
+        job = write_job(tmp_path, "close.json", {
+            "type": "monomial", "fibration_dim": 3, "n_max": 60,
+            "matrix": [[4, -3, 5, 0, 0, 0], [-3, 1, -4, 0, 0, 0], [2, -2, 5, 0, 0, 0],
+                       [0, -2, -2, 0, 5, -4], [2, -1, -1, -1, 5, -3],
+                       [-1, 1, -1, -4, 1, -3]],
+        })
+        code, out, _ = run(capsys, "verify-product", "--input", job, "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks["distinctness_engine"]["status"] == "PASS"
+        assert checks["distinctness_engine"]["rows"][0]["total_distinct"][-1] is False
+        assert checks["distinctness_oracle"]["status"] == "PASS"
+
     def test_requires_fibration(self, capsys, tmp_path):
         job = write_job(tmp_path, "plain.json",
                         {"type": "monomial", "matrix": [[2, 1], [1, 1]]})

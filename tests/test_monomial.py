@@ -2,9 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from dyndeg.cohomology import DegreeRangeError, FibrationError, Space
+from dyndeg.cohomology import (
+    DegreeRangeError,
+    FibrationError,
+    Space,
+    base_pullback_power,
+    kaehler_power,
+    mul,
+    pair,
+)
 from dyndeg.intmat import det, freeze, identity, mat_mul, mat_pow
 from dyndeg.monomial import (
     MonomialMap,
@@ -19,6 +27,7 @@ from dyndeg.monomial import (
     lambda_relative_sequence,
     lambda_sequence,
     pullback_class,
+    pullback_class_sequence,
     topological_degree,
     validate_fibration,
 )
@@ -28,6 +37,18 @@ matrices = lambda k, bound=4: st.lists(
     min_size=k,
     max_size=k,
 ).map(freeze)
+
+
+@st.composite
+def fibered_maps(draw):
+    """Random block lower-triangular monomial maps with det != 0."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.integers(1, k - 1))
+    mat = draw(matrices(k, 3))
+    mat = freeze([[0 if i < l <= j else x for j, x in enumerate(row)]
+                  for i, row in enumerate(mat)])
+    assume(det(mat) != 0)
+    return MonomialMap(mat, l)
 
 
 class TestMonomialMap:
@@ -180,3 +201,25 @@ class TestRelativeAndMixed:
     def test_base_sequence_rejects_singular_block(self):
         with pytest.raises(NonDominantError):
             c_p_sequence(((1, 1), (2, 2)), 1, 2)
+
+
+@given(fibered_maps())
+def test_sequences_match_cut_then_pair_definition(f):
+    # reference: cut the pullback class by the base power, then pair it
+    # against the complementary Kaehler power
+    k, l, n_max = f.dim, f.fibration_dim, 5
+    space = f.space
+
+    def mixed(c, q, p):
+        return pair(mul(c, base_pullback_power(space, l - p + q)),
+                    kaehler_power(space, k - l - q))
+
+    for p in range(k + 1):
+        classes = pullback_class_sequence(f, p, n_max)
+        if p <= k - l:
+            assert lambda_relative_sequence(f, p, n_max) == [mixed(c, p, p) for c in classes]
+        for q in admissible_q(f, p):
+            assert a_qp_sequence(f, q, p, n_max) == [mixed(c, q, p) for c in classes]
+        assert b_p_sequence(f, p, n_max) == [
+            sum(mixed(c, q, p) for q in admissible_q(f, p)) for c in classes
+        ]

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dyndeg.cohomology import FibrationError, Space
+from dyndeg.cohomology import (
+    CohClass,
+    FibrationError,
+    Space,
+    base_pullback_power,
+    kaehler_power,
+    mul,
+    pair,
+)
 from dyndeg.monomial import MonomialMap, lambda_sequence
 from dyndeg.rational import (
     CompositionCollapseError,
@@ -290,6 +298,37 @@ class TestSkewProduct:
         assert fiber_degree(f, 0) == 1
         assert fiber_degree(f, 3) == 8
         assert fiber_degree_sequence(f, 5) == [1, 2, 4, 8, 16, 32]
+
+    @pytest.mark.parametrize("f", [
+        skew_map(2),
+        skew_map(3),
+        monomial_to_rational(((2, 0, 0), (1, 3, 0), (-1, 1, 2)), fibration_dim=1),
+    ])
+    def test_fiber_sequence_matches_cut_then_pair_definition(self, f):
+        # reference: multidegree rows -> pullback class, cut by the full base
+        # power, paired against the complementary Kaehler power
+        space = f.space.with_base(f.fibration_dim)
+        big_l, m = space.base_dim, space.num_factors
+        cut = base_pullback_power(space, big_l)
+        weight = kaehler_power(space, space.dim - big_l - 1)
+        data = iterate_multidegrees(f, 5, max_total_degree=1000)
+        identity_rows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        reference = []
+        for rows in (identity_rows,) + data.multidegrees:
+            coeffs = {}
+            for row in rows:
+                for j, d in enumerate(row):
+                    if d:
+                        e = tuple(1 if t == j else 0 for t in range(m))
+                        coeffs[e] = coeffs.get(e, 0) + d
+            pullback = CohClass.make(space, 1, coeffs)
+            reference.append(pair(mul(pullback, cut), weight))
+        assert fiber_degree_sequence(f, 5, max_total_degree=1000) == reference
+        assert [fiber_degree(f, n, max_total_degree=1000) for n in range(6)] == reference
+
+    def test_fiber_degree_past_the_cap_raises(self):
+        with pytest.raises(ValueError, match="degree cap reached before n = 5"):
+            fiber_degree(skew_map(), 5, max_total_degree=100)
 
 
 class TestDominance:
