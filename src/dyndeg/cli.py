@@ -90,8 +90,13 @@ def _require(condition: bool, message: str) -> None:
         raise JobValidationError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: bool is a subclass of int in Python, JSON true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_poly(space: Space, entry: Any, where: str) -> rational.MultiHomPoly:
-    _require(isinstance(entry, dict) and "coeffs" in entry,
+    _require(isinstance(entry, dict) and isinstance(entry.get("coeffs"), list),
              f"{where}: each polynomial needs a 'coeffs' list")
     coeffs = {}
     for pair_ in entry["coeffs"]:
@@ -100,11 +105,12 @@ def _parse_poly(space: Space, entry: Any, where: str) -> rational.MultiHomPoly:
             f"{where}: coeffs entries must be [exponents, value] pairs",
         )
         exponents, value = pair_
-        _require(isinstance(exponents, (list, tuple)), f"{where}: bad exponent vector")
-        _require(isinstance(value, int), f"{where}: coefficients must be integers")
-        coeffs[tuple(int(e) for e in exponents)] = (
-            coeffs.get(tuple(int(e) for e in exponents), 0) + value
+        _require(
+            isinstance(exponents, (list, tuple)) and all(_is_int(e) for e in exponents),
+            f"{where}: exponent vectors must be lists of integers",
         )
+        _require(_is_int(value), f"{where}: coefficients must be integers")
+        coeffs[tuple(exponents)] = coeffs.get(tuple(exponents), 0) + value
     try:
         return rational.MultiHomPoly.make(space, coeffs)
     except ValueError as exc:
@@ -126,19 +132,20 @@ def load_job(path: str, args: argparse.Namespace) -> Job:
     n_max = args.n_max if args.n_max is not None else data.get("n_max", 12)
     tol = args.tol if args.tol is not None else data.get("tolerance", DEFAULT_ESTIMATE_TOL)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
-    _require(isinstance(n_max, int) and n_max >= 2, "n_max must be an integer >= 2")
-    _require(isinstance(tol, (int, float)) and tol > 0, "tolerance must be positive")
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(_is_int(n_max) and n_max >= 2, "n_max must be an integer >= 2")
+    _require((_is_int(tol) or isinstance(tol, float)) and tol > 0,
+             "tolerance must be positive")
+    _require(_is_int(seed), "seed must be an integer")
     p_range = data.get("p_range")
     if p_range is not None:
         _require(
             isinstance(p_range, list) and len(p_range) == 2
-            and all(isinstance(x, int) for x in p_range) and p_range[0] <= p_range[1],
+            and all(_is_int(x) for x in p_range) and p_range[0] <= p_range[1],
             "p_range must be [lo, hi] with lo <= hi",
         )
         p_range = (p_range[0], p_range[1])
     fibration = data.get("fibration_dim")
-    _require(fibration is None or isinstance(fibration, int),
+    _require(fibration is None or _is_int(fibration),
              "fibration_dim must be an integer when present")
 
     if kind == "monomial":
@@ -146,12 +153,14 @@ def load_job(path: str, args: argparse.Namespace) -> Job:
         _require(
             isinstance(matrix, list) and matrix
             and all(isinstance(r, list) and len(r) == len(matrix) for r in matrix)
-            and all(isinstance(x, int) for r in matrix for x in r),
+            and all(_is_int(x) for r in matrix for x in r),
             "matrix must be a square list of integer lists",
         )
         if "factors" in data:
+            factors = data["factors"]
             _require(
-                list(data["factors"]) == [1] * len(matrix),
+                isinstance(factors, list) and all(_is_int(n) for n in factors)
+                and factors == [1] * len(matrix),
                 "monomial jobs act on products of lines: factors must be all 1",
             )
         try:
@@ -162,7 +171,7 @@ def load_job(path: str, args: argparse.Namespace) -> Job:
         factors = data.get("factors")
         _require(
             isinstance(factors, list) and factors
-            and all(isinstance(n, int) and n >= 1 for n in factors),
+            and all(_is_int(n) and n >= 1 for n in factors),
             "rational jobs need 'factors': a list of positive factor dimensions",
         )
         try:

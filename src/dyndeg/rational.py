@@ -8,11 +8,16 @@ multidegrees and the reduced multidegree is precisely the degree-drop
 phenomenon that makes first dynamical degrees of rational maps
 non-obvious, so the cancellation step is the heart of this module.
 
-Cancellation is staged: the common *monomial* part and the integer content
-are stripped by direct exponent/coefficient arithmetic (this covers the
-classical examples, e.g. the Cremona involution), and only tuples with no
-monomial entry left go through a general multivariate gcd (sympy, exact
-over Z).  Large polynomial products use Kronecker packing into big
+Cancellation is staged.  First the common *monomial* part and the integer
+content are stripped by direct exponent/coefficient arithmetic (this
+covers the classical examples, e.g. the Cremona involution).  A tuple with
+no monomial entry left then meets a mod-p coprimality certificate: per
+variable, univariate images at a point where the first entry keeps its
+leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
+never certifies a tuple with a common factor; a coprime tuple fails it only
+at an unlucky point.  Only an uncertified tuple gets an exact multivariate
+gcd over Z, in sympy's sparse ring, so the output never depends on the
+point.  Large polynomial products use Kronecker packing into big
 integers; everything stays exact.
 
 Coordinates and charts: within factor i the variables are
@@ -31,7 +36,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import sympy
-from sympy.polys import Poly
+from sympy.polys.rings import ring
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, freeze, identity
@@ -71,6 +76,11 @@ def _sympy_gens(space: Space) -> tuple:
     for i, n in enumerate(space.factors):
         names.extend(f"x{i}_{j}" for j in range(n + 1))
     return sympy.symbols(names)
+
+
+@lru_cache(maxsize=None)
+def _sparse_ring(space: Space):
+    return ring(_sympy_gens(space), sympy.ZZ)[0]
 
 
 @dataclass(frozen=True)
@@ -316,15 +326,6 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
 
 
-def _to_sympy(p: MultiHomPoly) -> Poly:
-    gens = _sympy_gens(p.space)
-    return Poly.from_dict(dict(p.terms), *gens, domain=sympy.ZZ)
-
-
-def _from_sympy(poly: Poly, space: Space) -> MultiHomPoly:
-    return MultiHomPoly.make(space, {tuple(e): int(c) for e, c in poly.as_dict().items()})
-
-
 def _strip_monomial_and_content(
     polys: Sequence[MultiHomPoly],
 ) -> tuple[MultiHomPoly, ...]:
@@ -349,14 +350,118 @@ def _strip_monomial_and_content(
     return tuple(out)
 
 
+# a prime: images mod it are exact field arithmetic on Python ints
+_MODULUS = (1 << 61) - 1
+_CERTIFICATE_POINTS = 4
+
+
+@lru_cache(maxsize=None)
+def _evaluation_point(nvars: int, attempt: int) -> tuple[int, ...]:
+    rng = random.Random(nvars * 1009 + attempt)
+    return tuple(rng.randrange(2, _MODULUS) for _ in range(nvars))
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    lead = next((i for i, x in enumerate(coeffs) if x), len(coeffs))
+    return coeffs[lead:]
+
+
+def _univariate_image(p: MultiHomPoly, v: int, point: Sequence[int]) -> list[int]:
+    """p mod _MODULUS with every variable but v set to point, as
+    coefficients in v from the highest nonzero one down."""
+    m = _MODULUS
+    powers: dict[tuple[int, int], int] = {}
+    coeffs = [0] * (max(e[v] for e, _ in p.terms) + 1)
+    for e, c in p.terms:
+        value = c % m
+        for j, x in enumerate(e):
+            if x and j != v:
+                key = (j, x)
+                if key not in powers:
+                    powers[key] = pow(point[j], x, m)
+                value = value * powers[key] % m
+        coeffs[e[v]] += value
+    return _trim([c % m for c in reversed(coeffs)])
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Euclid mod _MODULUS on coefficient lists with nonzero leading terms."""
+    m = _MODULUS
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[0], -1, m)
+        b = [x * inv % m for x in b]
+        n = len(b) - 1
+        a = a[:]
+        for i in range(len(a) - n):
+            q = a[i]
+            if q:
+                a[i + 1 : i + 1 + n] = [
+                    (x - q * y) % m for x, y in zip(a[i + 1 : i + 1 + n], b[1:])
+                ]
+        a, b = b, _trim(a[len(a) - n :])
+    return a
+
+
+def _certify_coprime(active: Sequence[MultiHomPoly]) -> bool:
+    """True only if the nonzero entries have no common factor over Z.
+
+    For each variable v of the first entry P_1, the other variables are set
+    to a point mod p where lc_v(P_1) does not vanish, and the univariate
+    images are folded through Euclid mod p.  A common factor G over Z
+    divides P_1, so lc_v(G) does not vanish there either: G's image keeps
+    degree deg_v G and divides every image.  Constant gcds for every v thus
+    rule out every nonconstant G (the content is already stripped).  False
+    means "not certified", not "not coprime".
+    """
+    first = active[0]
+    nvars = len(first.terms[0][0])
+    for v in range(nvars):
+        degree = max(e[v] for e, _ in first.terms)
+        if degree == 0:
+            continue
+        for attempt in range(_CERTIFICATE_POINTS):
+            point = _evaluation_point(nvars, attempt)
+            g = _univariate_image(first, v, point)
+            if len(g) == degree + 1:  # lc_v(P_1) survived
+                break
+        else:
+            return False
+        for p in active[1:]:
+            if len(g) == 1:
+                break
+            image = _univariate_image(p, v, point)
+            if image:
+                g = _gcd_mod_p(g, image)
+        if len(g) > 1:
+            return False
+    return True
+
+
+def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
+    """Divide the exact gcd over Z out of every entry, in sympy's sparse ring."""
+    ring_ = _sparse_ring(space)
+    elements = [None if p.is_zero else ring_.from_dict(dict(p.terms)) for p in polys]
+    gcd_poly = reduce(lambda a, b: a.gcd(b), (e for e in elements if e is not None))
+    if gcd_poly.is_ground:
+        return tuple(polys)
+    return _strip_monomial_and_content(tuple(
+        p if e is None
+        else MultiHomPoly.make(space, {m: int(c) for m, c in e.exquo(gcd_poly).items()})
+        for p, e in zip(polys, elements)
+    ))
+
+
 def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
     """Canonical reduced form of a component tuple.
 
-    Strips the common monomial factor and integer content directly; runs a
-    general exact gcd only when at least two nonzero entries remain and
-    none of them is a monomial (a monomial entry would force any common
-    factor to be a monomial, which is already stripped).  The sign is
-    normalized so the first nonzero entry has positive leading coefficient.
+    Strips the common monomial factor and integer content directly.  When
+    at least two nonzero entries remain and none of them is a monomial (a
+    monomial entry would force any common factor to be a monomial, which
+    is already stripped), the mod-p certificate runs first and only a tuple
+    it cannot certify coprime gets an exact gcd.  The sign is normalized so
+    the first nonzero entry has positive leading coefficient.
     """
     polys = tuple(polys)
     if all(p.is_zero for p in polys):
@@ -368,14 +473,8 @@ def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomP
         polys = tuple(
             MultiHomPoly.constant(space, 1) if not p.is_zero else p for p in polys
         )
-    elif not any(p.is_monomial for p in active):
-        gcd_poly = reduce(lambda a, b: a.gcd(b), (_to_sympy(p) for p in active))
-        if not gcd_poly.is_ground:
-            polys = tuple(
-                p if p.is_zero else _from_sympy(_to_sympy(p).exquo(gcd_poly), space)
-                for p in polys
-            )
-            polys = _strip_monomial_and_content(polys)
+    elif not any(p.is_monomial for p in active) and not _certify_coprime(active):
+        polys = _divide_out_gcd(space, polys)
     first = next(p for p in polys if not p.is_zero)
     if first.terms[-1][1] < 0:
         polys = tuple(p.scale(-1) for p in polys)

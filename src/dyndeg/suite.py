@@ -7,7 +7,8 @@ Six properties, each checked over a reproducible random family:
    admissible window, for every fibration shape up to the size cap;
 2. minor multiplicativity -- taking p-minors commutes with matrix products;
 3. mixed-degree identity -- the extreme mixed sequence equals the relative
-   degree sequence, exactly, term by term;
+   degree sequence, and both equal l! times the degree sequence of the
+   fiber block as a map of its own, exactly, term by term;
 4. pairing monotonicity -- base-cut pairings of effective classes are
    nondecreasing in the number of base cuts;
 5. summed-sequence convergence -- the summed mixed sequence and the total
@@ -119,9 +120,11 @@ def mixed_extreme_identity_property(
         f, _ = sampling.random_fibered_map(rng, k, l)
         ok = True
         for p in range(0, k - l + 1):
-            if monomial.a_qp_sequence(f, p, p, n_max) != monomial.lambda_relative_sequence(
-                f, p, n_max
-            ):
+            relative = monomial.lambda_relative_sequence(f, p, n_max)
+            # the full base cut leaves only the fiber block's action
+            fiber = monomial.lambda_sequence(f.fiber_map(), p, n_max)
+            if (monomial.a_qp_sequence(f, p, p, n_max) != relative
+                    or relative != [math.factorial(l) * x for x in fiber]):
                 ok = False
                 break
         rows.append({"k": k, "l": l, "status": "PASS" if ok else "FAIL"})

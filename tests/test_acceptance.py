@@ -143,13 +143,16 @@ def test_c04_diagonal_mixed_equals_relative(acceptance_log, oracle_pool):
     failures = []
     for f, _ in oracle_pool:
         fiber = f.dim - f.fibration_dim
+        base_volume = math.factorial(f.fibration_dim)
         for p in range(fiber + 1):
             diag = monomial.a_qp_sequence(f, p, p, 20)
             rel = monomial.lambda_relative_sequence(f, p, 20)
-            if diag != rel:
+            own = monomial.lambda_sequence(f.fiber_map(), p, 20)
+            if diag != rel or rel != [base_volume * x for x in own]:
                 failures.append((f.matrix, p))
     record(acceptance_log, 4,
-           "diagonal mixed sequence equals relative sequence exactly, n<=20",
+           "diagonal mixed sequence equals relative sequence and l! times the "
+           "fiber block's own sequence exactly, n<=20",
            failures)
 
 

@@ -261,6 +261,44 @@ class TestErrorHandling:
         )
         assert run(capsys, "degrees", "--input", job)[0] == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("matrix", [[True, False], [True, True]]),
+        ("fibration_dim", True),
+        ("n_max", True),
+        ("seed", False),
+        ("tolerance", True),
+        ("p_range", [False, True]),
+        ("factors", [True, True]),
+        ("factors", 2),
+    ])
+    def test_monomial_job_rejects_non_integers(self, capsys, tmp_path, field, value):
+        payload = {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1,
+                   "n_max": 4, field: value}
+        job = write_job(tmp_path, "bool.json", payload)
+        code, out, err = run(capsys, "sequence", "--input", job)
+        assert code == 1
+        assert not out and err
+
+    @pytest.mark.parametrize("field, value", [
+        ("factors", [True]),
+        ("coefficient", True),
+        ("exponent", True),
+        ("exponent", 1.9),
+        ("exponent", "1"),
+    ])
+    def test_rational_job_rejects_non_integers(self, capsys, tmp_path, field, value):
+        line = [[[1, 0], 1], [[0, 1], 2]]
+        if field == "coefficient":
+            line[1][1] = value
+        if field == "exponent":
+            line[1][0][1] = value
+        payload = {"type": "rational", "factors": [True] if field == "factors" else [1],
+                   "components": [[{"coeffs": [[[1, 0], 1]]}, {"coeffs": line}]], "n_max": 3}
+        job = write_job(tmp_path, "bad.json", payload)
+        code, out, err = run(capsys, "sequence", "--input", job)
+        assert code == 1
+        assert not out and err
+
     def test_bad_flag_value(self, capsys, monomial_job):
         assert run(capsys, "degrees", "--input", monomial_job,
                    "--n-max", "three")[0] == 1

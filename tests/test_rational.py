@@ -1,9 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from dyndeg import rational
 from dyndeg.cohomology import (
     CohClass,
     FibrationError,
@@ -19,8 +22,11 @@ from dyndeg.rational import (
     DominanceWarning,
     MultiHomPoly,
     RationalMapDesc,
+    _certify_coprime,
     _dict_mul,
     _kron_mul,
+    _strip_monomial_and_content,
+    _sympy_gens,
     base_map,
     check_dominance,
     compose,
@@ -104,6 +110,44 @@ def _draw_poly(data, space, multidegree):
     )
     picked = data.draw(st.permutations(exps)) [: len(coeffs)]
     return poly(space, dict(zip(picked, coeffs)))
+
+
+def _draw_factor(data, space, multidegree):
+    # at least two terms, so the factor is not a monomial the strip removes
+    exps = data.draw(st.permutations(list(_monomials(space, multidegree))))
+    coeffs = data.draw(
+        st.lists(st.integers(-9, 9).filter(bool), min_size=2, max_size=len(exps))
+    )
+    return poly(space, dict(zip(exps, coeffs)))
+
+
+def _dense_reduce_tuple(space, polys):
+    """Reference for reduce_tuple: every gcd-route tuple goes through sympy's
+    dense Poly gcd and exquo, with no certificate in front."""
+    gens = _sympy_gens(space)
+
+    def to_dense(p):
+        return sympy.Poly.from_dict(dict(p.terms), *gens, domain=sympy.ZZ)
+
+    polys = _strip_monomial_and_content(tuple(polys))
+    active = [p for p in polys if not p.is_zero]
+    if len(active) == 1:
+        polys = tuple(
+            MultiHomPoly.constant(space, 1) if not p.is_zero else p for p in polys
+        )
+    elif not any(p.is_monomial for p in active):
+        g = reduce(lambda a, b: a.gcd(b), (to_dense(p) for p in active))
+        if not g.is_ground:
+            polys = _strip_monomial_and_content(tuple(
+                p if p.is_zero else poly(space, {
+                    tuple(e): int(c) for e, c in to_dense(p).exquo(g).as_dict().items()
+                })
+                for p in polys
+            ))
+    first = next(p for p in polys if not p.is_zero)
+    if first.terms[-1][1] < 0:
+        polys = tuple(p.scale(-1) for p in polys)
+    return polys
 
 
 class TestMultiHomPoly:
@@ -206,6 +250,43 @@ class TestReduceTuple:
         zero = MultiHomPoly.zero(P2)
         with pytest.raises(CompositionCollapseError):
             reduce_tuple(P2, (zero, zero, zero))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_dense_sympy_route(self, data):
+        space = data.draw(st.sampled_from([Space((1,)), P2, Space((1, 1)), Space((1, 2))]))
+        degs = tuple(data.draw(st.integers(0, 2)) for _ in space.factors)
+        entries = [
+            MultiHomPoly.zero(space) if data.draw(st.integers(0, 4)) == 0
+            else _draw_poly(data, space, degs)
+            for _ in range(data.draw(st.integers(2, 4)))
+        ]
+        planted = data.draw(st.booleans())
+        if planted:
+            g_degs = tuple(data.draw(st.integers(0, 1)) for _ in space.factors)
+            if not any(g_degs):
+                g_degs = (1,) + g_degs[1:]
+            factor = _draw_factor(data, space, g_degs)
+            entries = [p * factor for p in entries]
+        if all(p.is_zero for p in entries):
+            entries[0] = _draw_poly(data, space, degs)
+        assert reduce_tuple(space, entries) == _dense_reduce_tuple(space, entries)
+        if planted:
+            active = [p for p in _strip_monomial_and_content(entries) if not p.is_zero]
+            assert len(active) < 2 or not _certify_coprime(active)
+
+    def test_coprime_iterates_never_reach_sympy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a certified coprime tuple reached the sparse-ring gcd")
+
+        monkeypatch.setattr(rational, "_divide_out_gcd", refuse)
+        p1 = Space((1,))
+        f = RationalMapDesc(p1, ((
+            poly(p1, {(2, 0): 1, (0, 2): 3}),
+            poly(p1, {(2, 0): 1, (1, 1): 1, (0, 2): -1}),
+        ),))
+        data = iterate_multidegrees(f, n_max=5)
+        assert list(data.lambda1) == [2**m for m in range(6)]
 
 
 class TestRationalMapDesc:
