@@ -95,6 +95,15 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_settings(n_max: Any, tol: Any) -> None:
+    """Shared by job files and suite flags.  A tolerance of 1 or more would
+    pass every check (relative differences of positive degrees stay below
+    1); 0 < tol < 1 also refuses nan and inf."""
+    _require(_is_int(n_max) and n_max >= 2, "n_max must be an integer >= 2")
+    _require(isinstance(tol, float) and 0 < tol < 1,
+             "tolerance must be a number strictly between 0 and 1")
+
+
 def _parse_poly(space: Space, entry: Any, where: str) -> rational.MultiHomPoly:
     _require(isinstance(entry, dict) and isinstance(entry.get("coeffs"), list),
              f"{where}: each polynomial needs a 'coeffs' list")
@@ -132,9 +141,7 @@ def load_job(path: str, args: argparse.Namespace) -> Job:
     n_max = args.n_max if args.n_max is not None else data.get("n_max", 12)
     tol = args.tol if args.tol is not None else data.get("tolerance", DEFAULT_ESTIMATE_TOL)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
-    _require(_is_int(n_max) and n_max >= 2, "n_max must be an integer >= 2")
-    _require((_is_int(tol) or isinstance(tol, float)) and tol > 0,
-             "tolerance must be positive")
+    _check_settings(n_max, tol)
     _require(_is_int(seed), "seed must be an integer")
     p_range = data.get("p_range")
     if p_range is not None:
@@ -406,6 +413,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     n_max = args.n_max if args.n_max is not None else 40
     tol = args.tol if args.tol is not None else DEFAULT_ESTIMATE_TOL
+    _check_settings(n_max, tol)
     report_obj = suite_mod.run_suite(seed, n_max, tol)
     report = {"command": "suite", **report_obj.to_dict()}
     report["status"] = (

@@ -7,6 +7,8 @@ cancellation of the common factor; the drop between the naive product of
 multidegrees and the reduced multidegree is precisely the degree-drop
 phenomenon that makes first dynamical degrees of rational maps
 non-obvious, so the cancellation step is the heart of this module.
+Substitution builds one table of the powers of g's components per
+composition f o g and shares it between all entries of f.
 
 Cancellation is staged.  First the common *monomial* part and the integer
 content are stripped by direct exponent/coefficient arithmetic (this
@@ -17,8 +19,8 @@ leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
 never certifies a tuple with a common factor; a coprime tuple fails it only
 at an unlucky point.  Only an uncertified tuple gets an exact multivariate
 gcd over Z, in sympy's sparse ring, so the output never depends on the
-point.  Large polynomial products use Kronecker packing into big
-integers; everything stays exact.
+point.  Large polynomial products use signed Kronecker packing: one big
+integer per operand and one product; everything stays exact.
 
 Coordinates and charts: within factor i the variables are
 x_{i,0}, ..., x_{i,n_i}; affine charts set x_{i,0} = 1, so on (P^1)^k the
@@ -192,16 +194,17 @@ class MultiHomPoly:
     def power(self, exponent: int) -> "MultiHomPoly":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = MultiHomPoly.constant(self.space, 1)
+        if exponent == 0:
+            return MultiHomPoly.constant(self.space, 1)
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def derivative(self, var: int) -> "MultiHomPoly":
         acc: dict[tuple[int, ...], int] = {}
@@ -261,23 +264,20 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     The last variable of each factor block is left out of the packing --
     multihomogeneity fixes its exponent from the block degree -- so the
     packed size is governed by the product multidegree rather than the
-    full exponent box.  Coefficients live in fixed-width slots wide enough
-    that no carries cross slot boundaries; positive and negative parts are
-    packed separately so slots stay nonnegative.
+    full exponent box.  Each operand packs to one signed integer (its
+    positive part minus its negative part) and one product is taken, a
+    squaring when both operands are the same object.  A slot holds more
+    than twice the largest product coefficient's magnitude, so adding half
+    a slot to every slot makes them all nonnegative without carries; each
+    coefficient is then its slot minus that half (Harvey 2009).
     """
     space = p1.space
     layout = variable_layout(space)
     prod_deg = [a + b for a, b in zip(p1.multidegree, p2.multidegree)]
     keep = [i for start, count in layout for i in range(start, start + count - 1)]
-    max_sum = [0] * len(keep)
-    for terms in (p1.terms, p2.terms):
-        local = [0] * len(keep)
-        for e, _ in terms:
-            for j, i in enumerate(keep):
-                if e[i] > local[j]:
-                    local[j] = e[i]
-        for j, m in enumerate(local):
-            max_sum[j] += m
+    max_sum = [
+        max(e[i] for e, _ in p1.terms) + max(e[i] for e, _ in p2.terms) for i in keep
+    ]
     strides = [0] * len(keep)
     acc = 1
     for j in range(len(keep) - 1, -1, -1):
@@ -289,31 +289,24 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     bound = min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2 + 1
     slot_bytes = (bound.bit_length() + 7) // 8
     size = slots * slot_bytes
+    half = 1 << (8 * slot_bytes - 1)
 
-    def pack(terms, sign):
-        buf = bytearray(size)
+    def pack(terms):
+        parts = (bytearray(size), bytearray(size))  # positive, negative
         for e, c in terms:
-            if (c > 0) != sign:
-                continue
-            idx = sum(e[i] * s for i, s in zip(keep, strides))
-            off = idx * slot_bytes
-            buf[off : off + slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
-        return int.from_bytes(buf, "little")
+            off = sum(e[i] * s for i, s in zip(keep, strides)) * slot_bytes
+            parts[c < 0][off : off + slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
+        return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
 
-    a_pos, a_neg = pack(p1.terms, True), pack(p1.terms, False)
-    b_pos, b_neg = pack(p2.terms, True), pack(p2.terms, False)
-    plus = a_pos * b_pos + a_neg * b_neg
-    minus = a_pos * b_neg + a_neg * b_pos
-    out_bytes = size + slot_bytes
-    raw_plus = plus.to_bytes(out_bytes, "little")
-    raw_minus = minus.to_bytes(out_bytes, "little")
+    a = pack(p1.terms)
+    b = a if p2 is p1 else pack(p2.terms)
+    bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
+    raw = (a * b + bias).to_bytes(size, "little")
     acc_terms: dict[tuple[int, ...], int] = {}
     nvars = num_variables(space)
     for idx in range(slots):
         off = idx * slot_bytes
-        c = int.from_bytes(raw_plus[off : off + slot_bytes], "little") - int.from_bytes(
-            raw_minus[off : off + slot_bytes], "little"
-        )
+        c = int.from_bytes(raw[off : off + slot_bytes], "little") - half
         if c == 0:
             continue
         e = [0] * nvars
@@ -556,48 +549,46 @@ def identity_map(space: Space, fibration_dim: int | None = None) -> RationalMapD
     return RationalMapDesc(space, components, fibration_dim)
 
 
-def _substitute(p: MultiHomPoly, images: Sequence[MultiHomPoly]) -> MultiHomPoly:
-    space = images[0].space
-    power_cache: dict[tuple[int, int], MultiHomPoly] = {}
-
-    def var_power(v: int, e: int) -> MultiHomPoly:
-        key = (v, e)
-        if key not in power_cache:
-            power_cache[key] = images[v].power(e)
-        return power_cache[key]
-
-    total = MultiHomPoly.zero(space)
-    for exponents, coefficient in p.terms:
-        term = MultiHomPoly.constant(space, coefficient)
-        for v, e in enumerate(exponents):
-            if e:
-                term = term * var_power(v, e)
-                if term.is_zero:
-                    break
-        total = total + term
-    return total
-
-
 def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
     """f after g, in reduced form.
 
     Substitutes g's components into f's and cancels the common factor of
-    each resulting tuple.  Raises CompositionCollapseError when a whole
-    tuple vanishes (the composition's image meets the indeterminacy locus
-    of f along the image of g).
+    each resulting tuple.  Every entry of f reads one table of the powers
+    of g's components, and each monomial of an entry adds its coefficient
+    times the product of its powers into one dict.  Raises
+    CompositionCollapseError when a whole tuple vanishes (the composition's
+    image meets the indeterminacy locus of f along the image of g).
     """
     if f.space.factors != g.space.factors:
         raise ValueError("composition needs self-maps of the same space")
-    flat_images = [p for comp in g.components for p in comp]
+    space = g.space
+    one = MultiHomPoly.constant(space, 1)
+    images = [p for comp in g.components for p in comp]
+    powers: dict[tuple[int, int], MultiHomPoly] = {}
     new_components = []
     for i, comp in enumerate(f.components):
-        images = tuple(_substitute(p, flat_images) for p in comp)
-        if all(p.is_zero for p in images):
+        entries = []
+        for p in comp:
+            acc: dict[tuple[int, ...], int] = {}
+            for exponents, coefficient in p.terms:
+                term = None
+                for v, e in enumerate(exponents):
+                    if e:
+                        if (v, e) not in powers:
+                            powers[v, e] = images[v].power(e)
+                        term = powers[v, e] if term is None else term * powers[v, e]
+                        if term.is_zero:
+                            break
+                for m, c in (one if term is None else term).terms:
+                    acc[m] = acc.get(m, 0) + coefficient * c
+            entries.append(MultiHomPoly(space, tuple(sorted(
+                (m, c) for m, c in acc.items() if c != 0))))
+        if all(p.is_zero for p in entries):
             raise CompositionCollapseError(
                 f"component {i} vanishes identically after composition"
             )
-        new_components.append(images)
-    return RationalMapDesc(g.space, tuple(new_components), f.fibration_dim)
+        new_components.append(tuple(entries))
+    return RationalMapDesc(space, tuple(new_components), f.fibration_dim)
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,28 @@ class TestErrorHandling:
         assert code == 1
         assert not out and err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1, 1.0, 2.5, 0, -0.5])
+    def test_job_tolerance_must_lie_strictly_between_zero_and_one(self, capsys, tmp_path,
+                                                                  value):
+        # json writes inf and nan as Infinity and NaN, which json.load accepts
+        payload = {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1,
+                   "n_max": 4, "tolerance": value}
+        job = write_job(tmp_path, "tol.json", payload)
+        code, out, err = run(capsys, "verify-product", "--input", job)
+        assert code == 1
+        assert not out and err
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--tol", "1"), ("--tol", "-0.5"),
+        ("--n-max", "1"), ("--n-max", "-3"), ("--tol", "inf", "--n-max", "12"),
+    ])
+    @pytest.mark.parametrize("command", ["verify-product", "suite"])
+    def test_flag_settings_are_checked(self, capsys, monomial_job, command, flags):
+        argv = [command, *flags] + (["--input", monomial_job] if command != "suite" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert not out and err
+
     def test_bad_flag_value(self, capsys, monomial_job):
         assert run(capsys, "degrees", "--input", monomial_job,
                    "--n-max", "three")[0] == 1

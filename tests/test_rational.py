@@ -99,11 +99,11 @@ def _monomials(space, multidegree):
         yield tuple(x for block in combo for x in block)
 
 
-def _draw_poly(data, space, multidegree):
+def _draw_poly(data, space, multidegree, bound=9):
     exps = list(_monomials(space, multidegree))
     coeffs = data.draw(
         st.lists(
-            st.integers(-9, 9).filter(bool),
+            st.integers(-bound, bound).filter(bool),
             min_size=1,
             max_size=len(exps),
         )
@@ -198,11 +198,13 @@ class TestMultiHomPoly:
 
     @given(st.data())
     def test_kronecker_multiplication_matches_dict(self, data):
-        space = data.draw(st.sampled_from([P2, Space((1, 2))]))
+        space = data.draw(st.sampled_from([Space((1, 1)), P2, Space((1, 2))]))
+        bound = data.draw(st.sampled_from([9, 2**100]))
         degs1 = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
         degs2 = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
-        p1 = _draw_poly(data, space, degs1)
-        p2 = _draw_poly(data, space, degs2)
+        p1 = _draw_poly(data, space, degs1, bound)
+        # the same object on both sides takes the squaring path
+        p2 = p1 if data.draw(st.booleans()) else _draw_poly(data, space, degs2, bound)
         assert _kron_mul(p1, p2).terms == _dict_mul(p1, p2).terms
 
     @given(st.data())
@@ -338,6 +340,59 @@ class TestRationalMapDesc:
         )
         with pytest.raises(CompositionCollapseError):
             iterate_multidegrees(f, n_max=3)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_compose_matches_per_entry_substitution(self, data):
+        space = data.draw(st.sampled_from([Space((1,)), P2, Space((1, 1))]))
+        f, g = _draw_map(data, space), _draw_map(data, space)
+        try:
+            expected = _compose_per_entry(f, g)
+        except CompositionCollapseError:
+            with pytest.raises(CompositionCollapseError):
+                compose(f, g)
+            return
+        assert compose(f, g) == expected
+
+
+def _draw_map(data, space):
+    """A random map whose tuples may hold zero entries; a tuple with one
+    nonzero entry reduces to the constant tuple (1, 0, ...)."""
+    components = []
+    for n in space.factors:
+        degs = tuple(data.draw(st.integers(0, 2)) for _ in space.factors)
+        entries = [
+            MultiHomPoly.zero(space) if data.draw(st.integers(0, 2)) == 0
+            else _draw_poly(data, space, degs)
+            for _ in range(n + 1)
+        ]
+        if all(p.is_zero for p in entries):
+            entries[data.draw(st.integers(0, n))] = _draw_poly(data, space, degs)
+        components.append(tuple(entries))
+    return RationalMapDesc(space, tuple(components))
+
+
+def _compose_per_entry(f, g):
+    """Reference for compose: each entry of f substitutes g's components on
+    its own, with no shared power table; each monomial is a constant times
+    repeated products of g's components, added by MultiHomPoly sums."""
+    images = [p for comp in g.components for p in comp]
+
+    def substitute(p):
+        total = MultiHomPoly.zero(g.space)
+        for exponents, coefficient in p.terms:
+            term = MultiHomPoly.constant(g.space, coefficient)
+            for v, e in enumerate(exponents):
+                for _ in range(e):
+                    term = term * images[v]
+            total = total + term
+        return total
+
+    return RationalMapDesc(
+        g.space,
+        tuple(tuple(substitute(p) for p in comp) for comp in f.components),
+        f.fibration_dim,
+    )
 
 
 class TestSkewProduct:
