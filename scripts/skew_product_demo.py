@@ -25,6 +25,7 @@ from dyndeg import (
     product_formula,
     rational_engine_profile,
 )
+from dyndeg.cli import JobValidationError, _check_settings
 
 
 def skew_map(base_exp: int) -> RationalMapDesc:
@@ -62,6 +63,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.base_exp < 1:
         parser.error("--base-exp must be positive")
+    try:
+        _check_settings(args.n_max, args.tol)
+    except JobValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     f = skew_map(args.base_exp)
     data = iterate_multidegrees(f, args.n_max, max_total_degree=args.cap)
@@ -97,12 +103,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"max-product prediction  = max(base, fiber) = {expected}")
 
     print()
-    for verdict in (product_formula(profile, tol=args.tol, ps=(1,)),
-                    lower_bound_check(profile, tol=args.tol, ps=(1,))):
+    formula = product_formula(profile, tol=args.tol, ps=(1,))
+    for verdict in (formula, lower_bound_check(profile, tol=args.tol, ps=(1,))):
         print(f"{verdict.name}: {verdict.status.value}")
         for row in verdict.rows:
             print(f"  {row}")
-    formula = product_formula(profile, tol=args.tol, ps=(1,))
     return 0 if formula.passed else 3
 
 

@@ -8,7 +8,8 @@ checks (product formula, lower bounds, log-concavity, distinctness
 inheritance) on both routes.  Engine-vs-oracle agreement is reported as
 the worst relative gap across decided gradings.
 
-Exit status mirrors the package CLI: 0 when no check fails, 3 otherwise.
+Exit status mirrors the package CLI: 0 when no check fails, 1 on an
+invalid --n-max or --tol, 3 otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dyndeg import (
     monomial_oracle_profile,
     product_formula,
 )
+from dyndeg.cli import JobValidationError, _check_settings
 from dyndeg.sampling import fibration_shapes, random_fibered_map
 
 EXACT_TOL = 1e-9
@@ -131,6 +133,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tol", type=float, default=5e-2)
     parser.add_argument("--out", default=None, help="write the full report as JSON")
     args = parser.parse_args(argv)
+    try:
+        _check_settings(args.n_max, args.tol)
+    except JobValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     config = SurveyConfig(args.seed, args.draws, args.k_max, args.n_max,
                           args.tol, args.out)
     report = survey(config)

@@ -49,19 +49,13 @@ from .monomial import (
     CompoundOperator,
     MonomialMap,
     NonDominantError,
-    a_qp,
     a_qp_sequence,
     admissible_q,
-    b_p,
     b_p_sequence,
-    c_p,
     c_p_sequence,
     compound,
-    lambda_p,
-    lambda_relative,
     lambda_relative_sequence,
     lambda_sequence,
-    pullback_class,
     pullback_class_sequence,
     topological_degree,
     validate_fibration,
@@ -85,7 +79,6 @@ from .rational import (
     base_map,
     check_dominance,
     compose,
-    fiber_degree,
     fiber_degree_sequence,
     identity_map,
     iterate_multidegrees,

@@ -53,7 +53,6 @@ from .degrees import (
     DEFAULT_EXACT_TOL,
     DegreeProfile,
     DegreeSequence,
-    VerdictStatus,
     distinctness_implication,
     estimate,
     log_concavity,
@@ -62,6 +61,7 @@ from .degrees import (
     monomial_oracle_profile,
     product_formula,
     rational_engine_profile,
+    rational_sequences,
 )
 
 EXIT_OK = 0
@@ -354,25 +354,13 @@ def _monomial_sequences(job: Job) -> list[dict]:
     return out
 
 
-def _rational_sequences(job: Job) -> tuple[list[dict], bool]:
-    f = job.map
-    data = rational.iterate_multidegrees(f, job.n_max)
-    out = [{"kind": "total", "p": 1, "q": None, "values": list(data.lambda1)}]
-    if f.fibration_dim is not None and rational.validate_skew(f):
-        base_data = rational.iterate_multidegrees(rational.base_map(f), job.n_max)
-        out.append({"kind": "base", "p": 1, "q": None, "values": list(base_data.lambda1)})
-        out.append({"kind": "relative", "p": 1, "q": None,
-                    "values": rational.fiber_degree_sequence(f, job.n_max)})
-    return out, data.truncated
-
-
 def cmd_sequence(args: argparse.Namespace) -> int:
     job = load_job(args.input, args)
     truncated = False
     if job.kind == "monomial":
         sequences = _monomial_sequences(job)
     else:
-        sequences, truncated = _rational_sequences(job)
+        sequences, truncated = rational_sequences(job.map, job.n_max)
     enriched = []
     for seq in sequences:
         entry = dict(seq)

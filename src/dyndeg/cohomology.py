@@ -17,7 +17,6 @@ exact regardless of size.  Nothing here uses floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -70,10 +69,6 @@ class Space:
     @property
     def dim(self) -> int:
         return sum(self.factors)
-
-    @property
-    def has_base(self) -> bool:
-        return self.base_factors is not None
 
     @property
     def base_dim(self) -> int:
@@ -304,6 +299,13 @@ def base_pullback_power(space: Space, j: int) -> CohClass:
     return mul(base_pullback_power(space, j - 1), omega_base)
 
 
+def admissible_window(p: int, base: int, fiber: int) -> range:
+    """The j with max(0, p - fiber) <= j <= min(p, base), ascending: the
+    base cuts a degree-p class admits over a base of dimension base with
+    fibers of dimension fiber."""
+    return range(max(0, p - fiber), min(p, base) + 1)
+
+
 @lru_cache(maxsize=None)
 def alpha_weight(space: Space, p: int, j: int) -> CohClass:
     """(pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}: the weight alpha pairs a
@@ -328,14 +330,12 @@ def alpha(c: CohClass, j: int) -> int:
     if space.base_factors is None:
         raise FibrationError("alpha needs a marked fibration")
     big_l = space.base_dim
-    p = c.degree
-    lo = max(0, p - space.dim + big_l)
-    hi = min(p, big_l)
-    if not lo <= j <= hi:
+    window = admissible_window(c.degree, big_l, space.dim - big_l)
+    if j not in window:
         raise DegreeRangeError(
-            f"alpha index {j} outside admissible window {lo}..{hi}"
+            f"alpha index {j} outside admissible window {window.start}..{window.stop - 1}"
         )
-    return pair(c, alpha_weight(space, p, j))
+    return pair(c, alpha_weight(space, c.degree, j))
 
 
 def effective_leq(c1: CohClass, c2: CohClass) -> bool:

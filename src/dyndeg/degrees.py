@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
-from .cohomology import FibrationError, alpha, mass
+from .cohomology import FibrationError, admissible_window, alpha, mass
 
 DEFAULT_ESTIMATE_TOL = 5e-2
 DEFAULT_EXACT_TOL = 1e-9
@@ -57,9 +57,9 @@ def _float_ratio(a: int, b: int) -> float:
 class DegreeSequence:
     """Exact values lambda(f^n) for n = 0..N of one graded degree.
 
-    label records which degree this is ("total", "relative", "base",
-    "mixed", "fiber", ...); p is the grading; q is the optional second
-    index of mixed sequences.
+    label records which degree this is: "total", "base", "relative",
+    "mixed" or "summed"; p is the grading; q is the second index of mixed
+    sequences.
     """
 
     label: str
@@ -349,9 +349,7 @@ def distinctness_implication(
 
 
 def _window(profile: DegreeProfile, p: int) -> range:
-    big_l = profile.base_dim
-    fiber = profile.dim - big_l
-    return range(max(0, p - fiber), min(p, big_l) + 1)
+    return admissible_window(p, profile.base_dim, profile.dim - profile.base_dim)
 
 
 def product_formula(
@@ -474,41 +472,55 @@ def monomial_engine_profile(
     return DegreeProfile(k, l, degrees, base, relative, label="monomial-engine")
 
 
+def rational_sequences(
+    f: rational.RationalMapDesc,
+    n_max: int,
+    max_total_degree: int = rational.DEFAULT_MAX_TOTAL_DEGREE,
+) -> tuple[list[dict], bool]:
+    """The grading-1 sequences of a rational map, and whether f's iteration
+    was truncated.
+
+    Each record has kind, p, q and values: the total sequence of f and, for
+    a skew product, the base map's sequence and the relative (fiber) one.
+    A fibred map that is not a skew product gets the total sequence only.
+    Each list stops where the degree cap stopped its own iteration.
+    """
+    data = rational.iterate_multidegrees(f, n_max, max_total_degree)
+    out = [{"kind": "total", "p": 1, "q": None, "values": list(data.lambda1)}]
+    if f.fibration_dim is not None and rational.validate_skew(f):
+        base_data = rational.iterate_multidegrees(rational.base_map(f), n_max, max_total_degree)
+        out.append({"kind": "base", "p": 1, "q": None, "values": list(base_data.lambda1)})
+        out.append({"kind": "relative", "p": 1, "q": None,
+                    "values": rational.fiber_degree_sequence(f, n_max, max_total_degree)})
+    return out, data.truncated
+
+
 def rational_engine_profile(
     f: rational.RationalMapDesc,
     n_max: int = rational.DEFAULT_N_MAX,
     tol: float = DEFAULT_ESTIMATE_TOL,
     max_total_degree: int = rational.DEFAULT_MAX_TOTAL_DEGREE,
 ) -> DegreeProfile:
-    """Partial degree profile of a rational map (gradings 0 and 1 only).
+    """Partial degree profile of a rational map (gradings 0 and 1 only),
+    estimated from the records of rational_sequences.
 
     Iteration can stop early at the degree cap; the estimates then use the
     computed prefix, and sequences too short to estimate yield None.
     """
+    sequences, _ = rational_sequences(f, n_max, max_total_degree)
+
+    def graded(dim: int, record: dict) -> tuple[DegreeValue | None, ...]:
+        values = record["values"]
+        first = None if len(values) < 3 else DegreeValue.from_estimate(
+            estimate(DegreeSequence(record["kind"], 1, values), tol))
+        return (DegreeValue.exact(1.0), first) + (None,) * (dim - 1)
+
     k = f.space.dim
-
-    def first_degree(values: Sequence[int]) -> DegreeValue | None:
-        if len(values) < 3:
-            return None
-        return DegreeValue.from_estimate(estimate(DegreeSequence("total", 1, values), tol))
-
-    data = rational.iterate_multidegrees(f, n_max, max_total_degree)
-    degrees: list[DegreeValue | None] = [None] * (k + 1)
-    degrees[0] = DegreeValue.exact(1.0)
-    degrees[1] = first_degree(data.lambda1)
     if f.fibration_dim is None:
-        return DegreeProfile(k, None, tuple(degrees), label="rational-engine")
-    if not rational.validate_skew(f):
+        return DegreeProfile(k, None, graded(k, sequences[0]), label="rational-engine")
+    if len(sequences) == 1:
         raise FibrationError("rational profile needs skew-product shape")
-    g = rational.base_map(f)
-    big_l = g.space.dim
-    base: list[DegreeValue | None] = [None] * (big_l + 1)
-    base[0] = DegreeValue.exact(1.0)
-    base_data = rational.iterate_multidegrees(g, n_max, max_total_degree)
-    base[1] = first_degree(base_data.lambda1)
-    relative: list[DegreeValue | None] = [None] * (k - big_l + 1)
-    relative[0] = DegreeValue.exact(1.0)
-    fiber_values = rational.fiber_degree_sequence(f, n_max, max_total_degree)
-    relative[1] = first_degree(fiber_values)
-    return DegreeProfile(k, big_l, tuple(degrees), tuple(base), tuple(relative),
-                         label="rational-engine")
+    total, base, relative = sequences
+    big_l = f.fibered_space.base_dim
+    return DegreeProfile(k, big_l, graded(k, total), graded(big_l, base),
+                         graded(k - big_l, relative), label="rational-engine")

@@ -7,7 +7,7 @@ lengths used by the estimators (n = 60 is routine).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -37,7 +37,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    """Binary-power a square matrix.  Sequence code uses powers() instead."""
+    """Binary-power a square matrix."""
     if n < 0:
         raise ValueError("negative powers are not defined here")
     result = identity(len(a))
@@ -50,28 +50,12 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     return result
 
 
-def powers(a: IntMatrix) -> Iterator[IntMatrix]:
-    """Yield I, a, a^2, ... computed incrementally (a^{n+1} = a * a^n)."""
-    current = identity(len(a))
-    while True:
-        yield current
-        current = mat_mul(a, current)
-
-
 def trace(a: IntMatrix) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    return tuple(zip(*a))
-
-
 def submatrix(a: IntMatrix, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
     return tuple(tuple(a[r][c] for c in cols) for r in rows)
-
-
-def entry_abs_sum(a: IntMatrix) -> int:
-    return sum(abs(x) for row in a for x in row)
 
 
 def det(matrix: IntMatrix) -> int:

@@ -37,6 +37,7 @@ from .cohomology import (
     DegreeRangeError,
     FibrationError,
     Space,
+    admissible_window,
     alpha,
     kaehler_power,
     mass,
@@ -131,13 +132,6 @@ class CompoundOperator:
     subsets: tuple[tuple[int, ...], ...]
     matrix: IntMatrix
 
-    def compose(self, other: "CompoundOperator") -> "CompoundOperator":
-        if (self.source_dim, self.order) != (other.source_dim, other.order):
-            raise ValueError("compound operators have different shapes")
-        return CompoundOperator(
-            self.source_dim, self.order, self.subsets, mat_mul(self.matrix, other.matrix)
-        )
-
 
 def compound(matrix, p: int) -> CompoundOperator:
     mat = freeze(matrix)
@@ -180,17 +174,9 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
     return out
 
 
-def pullback_class(f: MonomialMap, p: int, n: int) -> CohClass:
-    return pullback_class_sequence(f, p, n)[n]
-
-
 def lambda_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """lambda_p(f^n) = mass((f^n)^* omega^p) for n = 0..n_max."""
     return [mass(c) for c in pullback_class_sequence(f, p, n_max)]
-
-
-def lambda_p(f: MonomialMap, p: int, n: int) -> int:
-    return lambda_sequence(f, p, n)[n]
 
 
 def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
@@ -199,15 +185,13 @@ def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     return [alpha(c, 0) for c in pullback_class_sequence(f, p, n_max)]
 
 
-def lambda_relative(f: MonomialMap, p: int, n: int) -> int:
-    return lambda_relative_sequence(f, p, n)[n]
-
-
 def admissible_q(f: MonomialMap, p: int) -> range:
+    """The q of the mixed sequences a_{q,p}: q = p - j over alpha's window,
+    which is that window with base and fiber swapped."""
     if f.fibration_dim is None:
         raise FibrationError("relative sequences need a marked fibration")
     big_l = f.space.base_dim
-    return range(max(0, p - big_l), min(p, f.dim - big_l) + 1)
+    return admissible_window(p, f.dim - big_l, big_l)
 
 
 def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
@@ -217,10 +201,6 @@ def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
     lambda_relative_sequence.
     """
     return [alpha(c, p - q) for c in pullback_class_sequence(f, p, n_max)]
-
-
-def a_qp(f: MonomialMap, q: int, p: int, n: int) -> int:
-    return a_qp_sequence(f, q, p, n)[n]
 
 
 def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
@@ -233,10 +213,6 @@ def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     return [sum(alpha(c, p - q) for q in qs) for c in pullback_class_sequence(f, p, n_max)]
 
 
-def b_p(f: MonomialMap, p: int, n: int) -> int:
-    return b_p_sequence(f, p, n)[n]
-
-
 def c_p_sequence(base_block, p: int, n_max: int) -> list[int]:
     """Base degree sequence: lambda_p of the base block as a standalone map."""
     try:
@@ -244,7 +220,3 @@ def c_p_sequence(base_block, p: int, n_max: int) -> list[int]:
     except NonDominantError:
         raise NonDominantError("base block is singular (det = 0)") from None
     return lambda_sequence(g, p, n_max)
-
-
-def c_p(base_block, p: int, n: int) -> int:
-    return c_p_sequence(base_block, p, n)[n]

@@ -29,7 +29,7 @@ import mpmath as mp
 import sympy
 
 from .cohomology import CohClass, Space, unit_class
-from .intmat import IntMatrix, det, freeze, identity, mat_mul, mat_pow, trace
+from .intmat import det, freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
 
 

@@ -226,28 +226,6 @@ class MultiHomPoly:
             total += term
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        layout = variable_layout(self.space)
-        names = []
-        for i, (start, count) in enumerate(layout):
-            names.extend(f"x{i}_{j}" for j in range(count))
-        parts = []
-        for e, c in self.terms:
-            factors = [str(c)] if abs(c) != 1 or not any(e) else (["-"] if c == -1 else [])
-            factors = [str(c)] if not any(e) else factors
-            for v, exp in enumerate(e):
-                if exp == 1:
-                    factors.append(names[v])
-                elif exp > 1:
-                    factors.append(f"{names[v]}^{exp}")
-            body = "*".join(f for f in factors if f not in ("", "-"))
-            if c == -1 and any(e):
-                body = "-" + body
-            parts.append(body)
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     acc: dict[tuple[int, ...], int] = {}
@@ -682,26 +660,6 @@ def base_map(f: RationalMapDesc) -> RationalMapDesc:
         for comp in f.components[:l]
     )
     return RationalMapDesc(base_space, components)
-
-
-def fiber_degree(
-    f: RationalMapDesc,
-    n: int,
-    max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
-) -> int:
-    """Degree of f^n along the generic fiber of the marked projection.
-
-    The n-th entry of fiber_degree_sequence; raises ValueError when the
-    degree cap stops the iteration before f^n.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    values = fiber_degree_sequence(f, max(n, 1), max_total_degree)
-    if len(values) <= n:
-        raise ValueError(
-            f"degree cap reached before n = {n} (got {len(values) - 1})"
-        )
-    return values[n]
 
 
 def fiber_degree_sequence(

@@ -26,18 +26,6 @@ def random_matrix(
     )
 
 
-def random_invertible_matrix(
-    rng: random.Random, k: int, entry_bound: int = DEFAULT_ENTRY_BOUND
-) -> tuple[IntMatrix, int]:
-    """An integer matrix with det != 0, plus the number of rejected draws."""
-    resamples = 0
-    while True:
-        mat = random_matrix(rng, k, entry_bound)
-        if det(mat) != 0:
-            return mat, resamples
-        resamples += 1
-
-
 def random_block_triangular(
     rng: random.Random, k: int, l: int, entry_bound: int = DEFAULT_ENTRY_BOUND
 ) -> tuple[IntMatrix, int]:

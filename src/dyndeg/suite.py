@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import monomial, sampling
-from .cohomology import CohClass, alpha, degree_exponents, mass
+from .cohomology import CohClass, admissible_window, alpha, degree_exponents, mass
 from .degrees import (
     DEFAULT_EXACT_TOL,
     Verdict,
@@ -138,9 +138,7 @@ def pairing_monotonicity_property(rng: random.Random, draws: int = 60) -> Verdic
         degree = rng.randint(0, space.dim)
         c = sampling.random_effective_class(rng, space, degree)
         big_l = space.base_dim
-        lo = max(0, degree - (space.dim - big_l))
-        hi = min(degree, big_l)
-        values = [alpha(c, j) for j in range(lo, hi + 1)]
+        values = [alpha(c, j) for j in admissible_window(degree, big_l, space.dim - big_l)]
         ok = all(a <= b for a, b in zip(values, values[1:]))
         rows.append(
             {
@@ -201,8 +199,9 @@ def summed_sequence_convergence_property(
             rows.append(row)
             continue
         wmin, wmax, lmin, lmax = _pairing_weight_range(f, p)
-        lam = monomial.lambda_p(f, p, n_max)
-        summed = monomial.b_p(f, p, n_max)
+        c = monomial.pullback_class_sequence(f, p, n_max)[n_max]
+        lam = mass(c)
+        summed = sum(alpha(c, p - q) for q in monomial.admissible_q(f, p))
         sandwich = summed * lmin <= wmax * lam and summed * lmax >= wmin * lam
         gap = abs(math.log(summed) - math.log(lam)) / n_max
         bound = math.log(max(wmax / lmin, lmax / wmin))

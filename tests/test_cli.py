@@ -66,6 +66,31 @@ def skew_job(tmp_path):
     )
 
 
+@pytest.fixture
+def non_skew_job(tmp_path):
+    # (x, y) -> (xy, x): the base component reads the fiber variable
+    return write_job(
+        tmp_path,
+        "non_skew.json",
+        {
+            "type": "rational",
+            "factors": [1, 1],
+            "fibration_dim": 1,
+            "components": [
+                [
+                    {"coeffs": [[[1, 0, 1, 0], 1]]},
+                    {"coeffs": [[[0, 1, 0, 1], 1]]},
+                ],
+                [
+                    {"coeffs": [[[1, 0, 0, 0], 1]]},
+                    {"coeffs": [[[0, 1, 0, 0], 1]]},
+                ],
+            ],
+            "n_max": 6,
+        },
+    )
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -111,6 +136,12 @@ class TestDegreesCommand:
         profile = payload["profiles"]["engine"]
         assert profile["degrees"][1]["value"] == 1.0  # involution
 
+    def test_non_skew_fibration_exits_two(self, capsys, non_skew_job):
+        code, out, err = run(capsys, "degrees", "--input", non_skew_job)
+        assert code == 2
+        assert out == ""
+        assert "rational profile needs skew-product shape" in err
+
     def test_byte_identical_reports(self, capsys, skew_job):
         code1, out1, _ = run(capsys, "degrees", "--input", skew_job,
                              "--format", "json")
@@ -152,6 +183,12 @@ class TestVerifyProductCommand:
         code, _, err = run(capsys, "verify-product", "--input", job)
         assert code == 1
         assert "fibration" in err
+
+    def test_non_skew_fibration_exits_one(self, capsys, non_skew_job):
+        code, out, err = run(capsys, "verify-product", "--input", non_skew_job)
+        assert code == 1
+        assert out == ""
+        assert "base components to use base variables only" in err
 
     def test_skew_inconclusive_or_pass_exits_zero(self, capsys, skew_job):
         code, out, _ = run(capsys, "verify-product", "--input", skew_job,
@@ -199,6 +236,35 @@ class TestSequenceCommand:
         payload = json.loads(out)
         fibers = next(e for e in payload["sequences"] if e["kind"] == "relative")
         assert fibers["values"][:4] == [1, 2, 4, 8]
+
+    def test_non_skew_fibration_prints_total_only(self, capsys, non_skew_job):
+        code, out, _ = run(capsys, "sequence", "--input", non_skew_job,
+                           "--format", "json")
+        assert code == 0
+        sequences = json.loads(out)["sequences"]
+        assert [(e["kind"], e["p"]) for e in sequences] == [("total", 1)]
+        assert len(sequences[0]["values"]) == 7
+
+    @pytest.mark.parametrize("job, argv", [
+        ("skew_job", ["--n-max", "12"]),  # the README job, truncated by the degree cap
+        ("monomial_job", []),
+    ])
+    def test_same_estimates_as_degrees(self, capsys, request, job, argv):
+        path = request.getfixturevalue(job)
+        code, out, _ = run(capsys, "sequence", "--input", path, *argv, "--format", "json")
+        assert code == 0
+        printed = {(e["kind"], e["p"]): e["estimate"]
+                   for e in json.loads(out)["sequences"] if e["q"] is None}
+        code, out, _ = run(capsys, "degrees", "--input", path, *argv, "--format", "json")
+        assert code == 0
+        engine = json.loads(out)["profiles"]["engine"]
+        shared = 0
+        for kind, row in (("total", "degrees"), ("base", "base"), ("relative", "relative")):
+            for p, value in enumerate(engine[row]):
+                if value is not None and value["source"] == "estimated":
+                    assert value["estimate"] == printed[kind, p]
+                    shared += 1
+        assert shared == (3 if job == "skew_job" else 7)
 
 
 class TestSuiteCommand:

@@ -17,16 +17,13 @@ from dyndeg.intmat import det, freeze, identity, mat_mul, mat_pow
 from dyndeg.monomial import (
     MonomialMap,
     NonDominantError,
-    a_qp,
     a_qp_sequence,
     admissible_q,
     b_p_sequence,
     c_p_sequence,
     compound,
-    lambda_p,
     lambda_relative_sequence,
     lambda_sequence,
-    pullback_class,
     pullback_class_sequence,
     topological_degree,
     validate_fibration,
@@ -114,7 +111,7 @@ class TestPullbacks:
 
     def test_pullback_class_hand_value(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)
-        c = pullback_class(f, 1, 1)
+        c = pullback_class_sequence(f, 1, 1)[1]
         assert c.coeffs == {(1, 0): 3, (0, 1): 3}
 
     def test_degree_zero_is_constant_mass(self):
@@ -140,8 +137,8 @@ class TestPullbacks:
         # the class of f^(n) equals the class computed from the matrix power
         f = MonomialMap(golden_matrix)
         g = MonomialMap(mat_pow(golden_matrix, 3))
-        assert pullback_class(f, 1, 3) == pullback_class(g, 1, 1)
-        assert lambda_p(f, 1, 3) == lambda_p(g, 1, 1)
+        assert pullback_class_sequence(f, 1, 3)[3] == pullback_class_sequence(g, 1, 1)[1]
+        assert lambda_sequence(f, 1, 3)[3] == lambda_sequence(g, 1, 1)[1]
 
 
 class TestRelativeAndMixed:
@@ -162,8 +159,8 @@ class TestRelativeAndMixed:
 
     def test_mixed_hand_values(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)
-        assert a_qp(f, 0, 1, 1) == 6
-        assert a_qp(f, 1, 1, 1) == 3
+        assert a_qp_sequence(f, 0, 1, 1)[1] == 6
+        assert a_qp_sequence(f, 1, 1, 1)[1] == 3
 
     def test_mixed_window(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)

@@ -12,7 +12,7 @@ from dyndeg.cohomology import (
     pair,
 )
 from dyndeg.intmat import freeze, identity
-from dyndeg.monomial import MonomialMap, NonDominantError, pullback_class
+from dyndeg.monomial import MonomialMap, NonDominantError, pullback_class_sequence
 from dyndeg.oracle import (
     OracleSizeError,
     charpoly,
@@ -107,7 +107,7 @@ class TestRingExpandOracle:
     def test_matches_pullback_products(self, golden_matrix):
         f = MonomialMap(golden_matrix)
         space = f.space
-        c = pullback_class(f, 1, 3)
+        c = pullback_class_sequence(f, 1, 3)[3]
         assert ring_expand_oracle(space, [c, c]) == mul(c, c)
 
     def test_size_cap(self):

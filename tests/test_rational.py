@@ -30,7 +30,6 @@ from dyndeg.rational import (
     base_map,
     check_dominance,
     compose,
-    fiber_degree,
     fiber_degree_sequence,
     identity_map,
     iterate_multidegrees,
@@ -431,8 +430,8 @@ class TestSkewProduct:
         assert g.space == Space((1,))
         gdata = iterate_multidegrees(g, n_max=5)
         assert list(gdata.lambda1) == [1, 3, 9, 27, 81, 243]
-        assert fiber_degree(f, 0) == 1
-        assert fiber_degree(f, 3) == 8
+        assert fiber_degree_sequence(f, 1)[0] == 1
+        assert fiber_degree_sequence(f, 3)[3] == 8
         assert fiber_degree_sequence(f, 5) == [1, 2, 4, 8, 16, 32]
 
     @pytest.mark.parametrize("f", [
@@ -460,11 +459,12 @@ class TestSkewProduct:
             pullback = CohClass.make(space, 1, coeffs)
             reference.append(pair(mul(pullback, cut), weight))
         assert fiber_degree_sequence(f, 5, max_total_degree=1000) == reference
-        assert [fiber_degree(f, n, max_total_degree=1000) for n in range(6)] == reference
+        assert [fiber_degree_sequence(f, max(n, 1), max_total_degree=1000)[n]
+                for n in range(6)] == reference
 
-    def test_fiber_degree_past_the_cap_raises(self):
-        with pytest.raises(ValueError, match="degree cap reached before n = 5"):
-            fiber_degree(skew_map(), 5, max_total_degree=100)
+    def test_fiber_degree_sequence_stops_at_the_cap(self):
+        # 3^5 = 243 > 100 stops the fifth iterate: the prefix n = 0..4 remains
+        assert fiber_degree_sequence(skew_map(), 5, max_total_degree=100) == [1, 2, 4, 8, 16]
 
 
 class TestDominance:
