@@ -7,6 +7,10 @@ iterate.  The script iterates the map exactly, prints the multidegree
 ledger alongside the base and fiber degree sequences, estimates the first
 dynamical degrees of all three, and checks them against the max-product
 prediction d_1 = max(d_1(base), d_1(fiber)).
+
+Exit status mirrors the package CLI: 3 when the product formula FAILs,
+1 on an invalid --n-max, --tol or --cap, 0 otherwise (an INCONCLUSIVE
+verdict included).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dyndeg import (
     MultiHomPoly,
     RationalMapDesc,
     Space,
+    VerdictStatus,
     base_map,
     fiber_degree_sequence,
     iterate_multidegrees,
@@ -68,6 +73,9 @@ def main(argv: list[str] | None = None) -> int:
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.cap < 1:
+        print("error: --cap must be at least 1", file=sys.stderr)
+        return 1
 
     f = skew_map(args.base_exp)
     data = iterate_multidegrees(f, args.n_max, max_total_degree=args.cap)
@@ -108,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{verdict.name}: {verdict.status.value}")
         for row in verdict.rows:
             print(f"  {row}")
-    return 0 if formula.passed else 3
+    return 3 if formula.status is VerdictStatus.FAIL else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ inheritance) on both routes.  Engine-vs-oracle agreement is reported as
 the worst relative gap across decided gradings.
 
 Exit status mirrors the package CLI: 0 when no check fails, 1 on an
-invalid --n-max or --tol, 3 otherwise.
+invalid --n-max or --tol or when the flags leave no map to survey
+(--draws below 1, --k-max below 2), 3 otherwise.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_settings(args.n_max, args.tol)
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.draws < 1 or args.k_max < 2:
+        print("error: --draws must be at least 1 and --k-max at least 2", file=sys.stderr)
         return 1
     config = SurveyConfig(args.seed, args.draws, args.k_max, args.n_max,
                           args.tol, args.out)

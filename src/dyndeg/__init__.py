@@ -32,7 +32,6 @@ from .cohomology import (
 from .degrees import (
     DegreeEstimate,
     DegreeProfile,
-    DegreeSequence,
     DegreeValue,
     Verdict,
     VerdictStatus,

@@ -27,10 +27,11 @@ Command-line --n-max/--tol/--seed override the job file.  Reports carry no
 timestamps and JSON output is sorted, so a fixed job and seed reproduce
 byte-identical output.
 
-Exit codes: 0 success (including checks that end INCONCLUSIVE -- the
-status is in the report), 1 invalid job file or arguments, 2 computation
+Exit codes: 0 success, 1 invalid job file or arguments, 2 computation
 error (collapse, root-finding failure, degree cap before the requested
-iterate), 3 a verification FAIL (verify-product or suite).
+iterate), 3 a verification FAIL.  verify-product reports an INCONCLUSIVE
+check and exits 0; suite exits 3 unless every property passes, so an
+INCONCLUSIVE suite exits 3 too.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import monomial, oracle, rational, suite as suite_mod
+from . import monomial, rational, suite as suite_mod
 from .cohomology import Space, alpha, mass
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     DEFAULT_EXACT_TOL,
     DegreeProfile,
-    DegreeSequence,
+    combine_rows,
     distinctness_implication,
-    estimate,
+    estimated_value,
     log_concavity,
     lower_bound_check,
     monomial_engine_profile,
@@ -234,12 +235,17 @@ def _grading_list(job: Job, top: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _profiles(job: Job) -> dict[str, DegreeProfile]:
-    """Engine profile always; independent spectral profile when available."""
+def _profiles(job: Job) -> dict[str, tuple[DegreeProfile, float]]:
+    """Engine profile always; independent spectral profile when available.
+
+    Each comes with the tolerance its checks use: the job's for estimates,
+    DEFAULT_EXACT_TOL for the exact spectral values.
+    """
     if job.kind == "monomial":
         return {
-            "engine": monomial_engine_profile(job.map, job.n_max, job.tolerance),
-            "oracle": monomial_oracle_profile(job.map),
+            "engine": (monomial_engine_profile(job.map, job.n_max, job.tolerance),
+                       job.tolerance),
+            "oracle": (monomial_oracle_profile(job.map), DEFAULT_EXACT_TOL),
         }
     import random as _random
 
@@ -249,7 +255,7 @@ def _profiles(job: Job) -> dict[str, DegreeProfile]:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return {
-        "engine": rational_engine_profile(job.map, job.n_max, job.tolerance),
+        "engine": (rational_engine_profile(job.map, job.n_max, job.tolerance), job.tolerance),
     }
 
 
@@ -259,14 +265,12 @@ def _profiles(job: Job) -> dict[str, DegreeProfile]:
 def cmd_degrees(args: argparse.Namespace) -> int:
     job = load_job(args.input, args)
     profiles = _profiles(job)
-    checks = {}
-    for name, prof in profiles.items():
-        tol = DEFAULT_EXACT_TOL if name == "oracle" else job.tolerance
-        checks[f"log_concavity_{name}"] = log_concavity(prof, tol).to_dict()
+    checks = {f"log_concavity_{name}": log_concavity(prof, tol).to_dict()
+              for name, (prof, tol) in profiles.items()}
     report = {
         "command": "degrees",
         "job": job.raw,
-        "profiles": {name: prof.to_dict() for name, prof in profiles.items()},
+        "profiles": {name: prof.to_dict() for name, (prof, _) in profiles.items()},
         "checks": checks,
     }
     _emit(args, report, _degrees_rows(profiles), _DEGREES_COLUMNS)
@@ -284,8 +288,7 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
     profiles = _profiles(job)
     default_ps = [0, 1] if job.kind == "rational" else None
     checks: dict[str, dict] = {}
-    for name, prof in profiles.items():
-        tol = DEFAULT_EXACT_TOL if name == "oracle" else job.tolerance
+    for name, (prof, tol) in profiles.items():
         ps = (
             _grading_list(job, prof.dim)
             if job.p_range is not None
@@ -295,16 +298,11 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
         checks[f"lower_bound_{name}"] = lower_bound_check(prof, tol, ps).to_dict()
         if job.kind == "monomial":
             checks[f"distinctness_{name}"] = distinctness_implication(prof, tol).to_dict()
-    statuses = {c["status"] for c in checks.values()}
-    overall = (
-        "FAIL" if "FAIL" in statuses
-        else "INCONCLUSIVE" if "INCONCLUSIVE" in statuses
-        else "PASS"
-    )
+    overall = combine_rows("verify-product", list(checks.values())).status.value
     report = {
         "command": "verify-product",
         "job": job.raw,
-        "profiles": {name: prof.to_dict() for name, prof in profiles.items()},
+        "profiles": {name: prof.to_dict() for name, (prof, _) in profiles.items()},
         "checks": checks,
         "status": overall,
     }
@@ -363,16 +361,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         sequences, truncated = rational_sequences(job.map, job.n_max)
     enriched = []
     for seq in sequences:
-        entry = dict(seq)
-        if len(seq["values"]) >= 3:
-            est = estimate(
-                DegreeSequence(seq["kind"], seq["p"], seq["values"], seq["q"]),
-                job.tolerance,
-            )
-            entry["estimate"] = est.to_dict()
-        else:
-            entry["estimate"] = None
-        enriched.append(entry)
+        value = estimated_value(seq["values"], job.tolerance)
+        estimate = None if value is None else value.estimate.to_dict()
+        enriched.append({**seq, "estimate": estimate})
     report = {
         "command": "sequence",
         "job": job.raw,
@@ -403,12 +394,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_ESTIMATE_TOL
     _check_settings(n_max, tol)
     report_obj = suite_mod.run_suite(seed, n_max, tol)
-    report = {"command": "suite", **report_obj.to_dict()}
-    report["status"] = (
-        "PASS" if report_obj.passed
-        else "INCONCLUSIVE" if report_obj.inconclusive
-        else "FAIL"
-    )
+    report = {"command": "suite", **report_obj.to_dict(), "status": report_obj.status.value}
     rows = [
         {"property": v.name, "status": v.status.value, "rows": len(v.rows)}
         for v in report_obj.verdicts
@@ -429,9 +415,9 @@ _VERIFY_COLUMNS = ["check", "p", "j", "status", "lhs", "rhs", "rel_error", "argm
 _SUITE_COLUMNS = ["property", "status", "rows"]
 
 
-def _degrees_rows(profiles: dict[str, DegreeProfile]) -> list[dict]:
+def _degrees_rows(profiles: dict[str, tuple[DegreeProfile, float]]) -> list[dict]:
     rows = []
-    for pname, prof in profiles.items():
+    for pname, (prof, _) in profiles.items():
         parts = [("total", prof.degrees)]
         if prof.base is not None:
             parts += [("base", prof.base), ("relative", prof.relative)]
@@ -536,13 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ENGINE_ERRORS = (
-    rational.CompositionCollapseError,
-    oracle.RootFindingError,
-    oracle.OracleSizeError,
-)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -554,9 +533,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_JOB
-    except _ENGINE_ERRORS as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
     except (ValueError, RuntimeError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_ENGINE

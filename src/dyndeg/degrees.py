@@ -53,32 +53,6 @@ def _float_ratio(a: int, b: int) -> float:
     return float(Fraction(a, b))
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Exact values lambda(f^n) for n = 0..N of one graded degree.
-
-    label records which degree this is: "total", "base", "relative",
-    "mixed" or "summed"; p is the grading; q is the second index of mixed
-    sequences.
-    """
-
-    label: str
-    p: int
-    values: tuple[int, ...]
-    q: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.values) < 3:
-            raise ValueError("need values for n = 0..N with N >= 2")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("degree values must be positive")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-
 def window_stride(n_max: int) -> int:
     """Even stride used by the window estimate (capped at n_max - 1)."""
     return min(2 * max(1, n_max // 4), n_max - 1)
@@ -141,9 +115,13 @@ def _trend_growth(values: Sequence[int], start: int, stop: int) -> float:
     return math.exp(slope)
 
 
-def estimate(seq: DegreeSequence, tol: float = DEFAULT_ESTIMATE_TOL) -> DegreeEstimate:
-    values = seq.values
-    n_max = seq.n_max
+def estimate(values: Sequence[int], tol: float = DEFAULT_ESTIMATE_TOL) -> DegreeEstimate:
+    """Estimates of the growth of the exact degrees values[n], n = 0..N."""
+    if len(values) < 3:
+        raise ValueError("need values for n = 0..N with N >= 2")
+    if any(v <= 0 for v in values):
+        raise ValueError("degree values must be positive")
+    n_max = len(values) - 1
     root = math.exp(_log(values[n_max]) / n_max)
     ratios = [_float_ratio(values[n], values[n - 1]) for n in range(2, n_max + 1)]
     ratio = ratios[-1] if ratios else _float_ratio(values[1], values[0])
@@ -202,6 +180,13 @@ class DegreeValue:
             "converged": self.converged,
             "estimate": None if self.estimate is None else self.estimate.to_dict(),
         }
+
+
+def estimated_value(values: Sequence[int], tol: float) -> DegreeValue | None:
+    """The estimated degree of an exact sequence that iteration may have cut
+    short; None when fewer than three values (n = 0..2) are there to estimate.
+    """
+    return None if len(values) < 3 else DegreeValue.from_estimate(estimate(values, tol))
 
 
 @dataclass(frozen=True)
@@ -352,6 +337,22 @@ def _window(profile: DegreeProfile, p: int) -> range:
     return admissible_window(p, profile.base_dim, profile.dim - profile.base_dim)
 
 
+def _fibred_gradings(
+    profile: DegreeProfile, ps: Iterable[int] | None, check: str
+) -> Iterable[int]:
+    """The gradings a fibred check covers: every one by default, else ps,
+    each of which must lie in 0..dim."""
+    if profile.base is None:
+        raise FibrationError(f"{check} needs a fibered profile")
+    if ps is None:
+        return range(profile.dim + 1)
+    ps = list(ps)
+    for p in ps:
+        if not 0 <= p <= profile.dim:
+            raise ValueError(f"grading {p} out of range")
+    return ps
+
+
 def product_formula(
     profile: DegreeProfile,
     tol: float = DEFAULT_EXACT_TOL,
@@ -363,13 +364,8 @@ def product_formula(
     relative 1e-9) and the relative error.  Rows with missing or
     unconverged participants are INCONCLUSIVE rather than failed.
     """
-    if profile.base is None:
-        raise FibrationError("product formula needs a fibered profile")
-    ps = range(profile.dim + 1) if ps is None else ps
     rows = []
-    for p in ps:
-        if not 0 <= p <= profile.dim:
-            raise ValueError(f"grading {p} out of range")
+    for p in _fibred_gradings(profile, ps, "product formula"):
         lhs = profile.degrees[p]
         window = _window(profile, p)
         parts = [(j, profile.base[j], profile.relative[p - j]) for j in window]
@@ -394,11 +390,8 @@ def lower_bound_check(
     ps: Iterable[int] | None = None,
 ) -> Verdict:
     """One-sided check d_p >= d_j(base) * d_{p-j}(relative) for each admissible j."""
-    if profile.base is None:
-        raise FibrationError("lower bound check needs a fibered profile")
-    ps = range(profile.dim + 1) if ps is None else ps
     rows = []
-    for p in ps:
+    for p in _fibred_gradings(profile, ps, "lower bound check"):
         lhs = profile.degrees[p]
         for j in _window(profile, p):
             b, r = profile.base[j], profile.relative[p - j]
@@ -414,9 +407,9 @@ def lower_bound_check(
 
 
 def _estimated_values(
-    sequences: Iterable[DegreeSequence], tol: float
+    sequences: Iterable[Sequence[int]], tol: float
 ) -> tuple[DegreeValue, ...]:
-    return tuple(DegreeValue.from_estimate(estimate(s, tol)) for s in sequences)
+    return tuple(DegreeValue.from_estimate(estimate(values, tol)) for values in sequences)
 
 
 def monomial_oracle_profile(f: monomial.MonomialMap) -> DegreeProfile:
@@ -448,26 +441,15 @@ def monomial_engine_profile(
     """
     k = f.dim
     tables = [monomial.pullback_class_sequence(f, p, n_max) for p in range(k + 1)]
-    degrees = _estimated_values(
-        (DegreeSequence("total", p, [mass(c) for c in table]) for p, table in enumerate(tables)),
-        tol,
-    )
+    degrees = _estimated_values(([mass(c) for c in table] for table in tables), tol)
     if f.fibration_dim is None:
         return DegreeProfile(k, None, degrees, label="monomial-engine")
     l = f.fibration_dim
     base = _estimated_values(
-        (
-            DegreeSequence("base", j, monomial.c_p_sequence(f.base_block(), j, n_max))
-            for j in range(l + 1)
-        ),
-        tol,
+        (monomial.c_p_sequence(f.base_block(), j, n_max) for j in range(l + 1)), tol
     )
     relative = _estimated_values(
-        (
-            DegreeSequence("relative", p, [alpha(c, 0) for c in tables[p]])
-            for p in range(k - l + 1)
-        ),
-        tol,
+        ([alpha(c, 0) for c in tables[p]] for p in range(k - l + 1)), tol
     )
     return DegreeProfile(k, l, degrees, base, relative, label="monomial-engine")
 
@@ -497,7 +479,7 @@ def rational_sequences(
 
 def rational_engine_profile(
     f: rational.RationalMapDesc,
-    n_max: int = rational.DEFAULT_N_MAX,
+    n_max: int,
     tol: float = DEFAULT_ESTIMATE_TOL,
     max_total_degree: int = rational.DEFAULT_MAX_TOTAL_DEGREE,
 ) -> DegreeProfile:
@@ -510,9 +492,7 @@ def rational_engine_profile(
     sequences, _ = rational_sequences(f, n_max, max_total_degree)
 
     def graded(dim: int, record: dict) -> tuple[DegreeValue | None, ...]:
-        values = record["values"]
-        first = None if len(values) < 3 else DegreeValue.from_estimate(
-            estimate(DegreeSequence(record["kind"], 1, values), tol))
+        first = estimated_value(record["values"], tol)
         return (DegreeValue.exact(1.0), first) + (None,) * (dim - 1)
 
     k = f.space.dim

@@ -148,11 +148,10 @@ def _as_term_list(factor) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((tuple(int(x) for x in e), int(c)) for e, c in factor)
 
 
-def ring_expand_oracle(
-    space: Space,
-    factors: Iterable[CohClass | TermList],
-    term_cap: int = 2_000_000,
-) -> CohClass:
+_TERM_CAP = 2_000_000
+
+
+def ring_expand_oracle(space: Space, factors: Iterable[CohClass | TermList]) -> CohClass:
     """Expand a product of classes term by term, with truncation only.
 
     Every cross term of the full product is formed explicitly (no pairwise
@@ -166,8 +165,8 @@ def ring_expand_oracle(
     if not term_lists:
         return unit_class(space)
     count = math.prod(len(t) for t in term_lists)
-    if count > term_cap:
-        raise OracleSizeError(f"expansion of {count} terms exceeds cap {term_cap}")
+    if count > _TERM_CAP:
+        raise OracleSizeError(f"expansion of {count} terms exceeds cap {_TERM_CAP}")
     degrees = []
     for terms in term_lists:
         degs = {sum(e) for e, _ in terms}

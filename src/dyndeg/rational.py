@@ -44,7 +44,6 @@ from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, freeze, identity
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
-DEFAULT_N_MAX = 8
 
 # above this many cross terms, multiplication goes through Kronecker packing
 _KRON_THRESHOLD = 60_000
@@ -599,7 +598,7 @@ def _pullback_class(space: Space, rows: IntMatrix) -> CohClass:
 
 def iterate_multidegrees(
     f: RationalMapDesc,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int,
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
 ) -> IterateData:
     """Compose f with itself up to n_max times, tracking reduced multidegrees.
@@ -680,7 +679,7 @@ def fiber_degree_sequence(
     return [alpha(_pullback_class(space, r), 0) for r in rows]
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
+def _rank(matrix: list[list[int]]) -> int:
     rows = [row[:] for row in matrix]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -700,84 +699,53 @@ def _rank(matrix: list[list[Fraction]]) -> int:
     return rank
 
 
-def check_dominance(
-    f: RationalMapDesc,
-    rng: random.Random | None = None,
-    points: int = 3,
-    warn: bool = True,
-) -> bool:
+_DOMINANCE_POINTS = 3
+
+
+def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> bool:
     """Probabilistic dominance test via exact Jacobian rank at random points.
 
-    Evaluates the differential of the affine chart map at random integer
-    points (exact rational arithmetic).  Full rank at any point certifies
-    dominance; if no tested point has full rank, a DominanceWarning is
-    emitted (never an error -- the test is one-sided).
+    At up to three random integer points, each component tuple is read in
+    the affine chart of its entry q of largest absolute value.  The
+    Jacobian row of P_j / q is (q dP_j - P_j dq) / q^2; the integer row
+    q dP_j - P_j dq is that row times q^2 != 0, so the rank is the same.
+    Full rank at any point certifies dominance; if no tested point has full
+    rank, a DominanceWarning is emitted (never an error -- the test is
+    one-sided).
     """
     rng = rng or random.Random(1729)
     space = f.space
-    k = space.dim
     layout = variable_layout(space)
-    nvars = num_variables(space)
     affine_vars = [start + j for start, count in layout for j in range(1, count)]
-    derivatives = [
-        [p.derivative(v) for v in affine_vars] for comp in f.components for p in comp
+    components = [
+        [(p, [p.derivative(v) for v in affine_vars]) for p in comp] for comp in f.components
     ]
-    flat_polys = [p for comp in f.components for p in comp]
-    comp_offsets = []
-    off = 0
-    for comp in f.components:
-        comp_offsets.append(off)
-        off += len(comp)
-    for _ in range(points):
+    for _ in range(_DOMINANCE_POINTS):
         for _attempt in range(40):
-            values = [0] * nvars
+            point = [0] * num_variables(space)
             for start, count in layout:
-                values[start] = 1
+                point[start] = 1
                 for j in range(1, count):
-                    values[start + j] = rng.randint(-9, 9)
-            vals = [Fraction(v) for v in values]
-            point_values = [p.evaluate(vals) for p in flat_polys]
-            pivots = []
-            ok = True
-            for i, comp in enumerate(f.components):
-                offset = comp_offsets[i]
-                pivot = None
-                best = 0
-                for j in range(len(comp)):
-                    val = point_values[offset + j]
-                    if val != 0 and abs(val) > best:
-                        pivot, best = j, abs(val)
-                if pivot is None:
-                    ok = False
-                    break
-                pivots.append(pivot)
-            if not ok:
+                    point[start + j] = rng.randint(-9, 9)
+            values = [[p.evaluate(point) for p, _ in comp] for comp in components]
+            if not all(any(vals) for vals in values):
                 continue
-            jac: list[list[Fraction]] = []
-            for i, comp in enumerate(f.components):
-                offset = comp_offsets[i]
-                q_val = point_values[offset + pivots[i]]
-                dq = [derivatives[offset + pivots[i]][c].evaluate(vals) for c in range(k)]
-                for j in range(len(comp)):
-                    if j == pivots[i]:
-                        continue
-                    p_val = point_values[offset + j]
-                    dp = [derivatives[offset + j][c].evaluate(vals) for c in range(k)]
-                    jac.append(
-                        [
-                            Fraction(dp[c] * q_val - p_val * dq[c], q_val * q_val)
-                            for c in range(k)
-                        ]
-                    )
-            if _rank(jac) == k:
+            jac = []
+            for comp, vals in zip(components, values):
+                pivot = max(range(len(vals)), key=lambda j: abs(vals[j]))
+                q, dq = vals[pivot], [d.evaluate(point) for d in comp[pivot][1]]
+                for j, (_, dp) in enumerate(comp):
+                    if j != pivot:
+                        jac.append([d.evaluate(point) * q - vals[j] * c
+                                    for d, c in zip(dp, dq)])
+            if _rank(jac) == space.dim:
                 return True
             break
-    if warn:
-        warnings.warn(
-            "no full-rank Jacobian point found; the map may not be dominant",
-            DominanceWarning,
-            stacklevel=2,
-        )
+    warnings.warn(
+        "no full-rank Jacobian point found; the map may not be dominant",
+        DominanceWarning,
+        stacklevel=2,
+    )
     return False
 
 

@@ -52,14 +52,13 @@ class SuiteReport:
     verdicts: tuple[Verdict, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(v.status is VerdictStatus.PASS for v in self.verdicts)
+    def status(self) -> VerdictStatus:
+        """The verdict fold over the six properties: FAIL, else INCONCLUSIVE, else PASS."""
+        return combine_rows("suite", [{"status": v.status.value} for v in self.verdicts]).status
 
     @property
-    def inconclusive(self) -> bool:
-        return not self.passed and all(
-            v.status is not VerdictStatus.FAIL for v in self.verdicts
-        )
+    def passed(self) -> bool:
+        return self.status is VerdictStatus.PASS
 
     def to_dict(self) -> dict:
         return {

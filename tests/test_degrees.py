@@ -5,13 +5,13 @@ import pytest
 from dyndeg.cohomology import FibrationError, Space
 from dyndeg.degrees import (
     DegreeProfile,
-    DegreeSequence,
     DegreeValue,
     VerdictStatus,
     combine_rows,
     distinct_flags,
     distinctness_implication,
     estimate,
+    estimated_value,
     log_concavity,
     lower_bound_check,
     monomial_engine_profile,
@@ -22,10 +22,6 @@ from dyndeg.degrees import (
 )
 from dyndeg.monomial import MonomialMap
 from dyndeg.rational import MultiHomPoly, RationalMapDesc
-
-
-def seq(values, label="total", p=1):
-    return DegreeSequence(label, p, values)
 
 
 def profile_from_floats(degrees, base=None, relative=None, sources=None):
@@ -40,16 +36,20 @@ def profile_from_floats(degrees, base=None, relative=None, sources=None):
 
 
 class TestDegreeSequence:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seq([1, 2])
-        with pytest.raises(ValueError):
-            seq([1, 0, 2])
-        with pytest.raises(ValueError):
-            seq([1, -3, 2])
+    """A degree sequence is a plain list of exact values; estimate checks it."""
 
-    def test_n_max(self):
-        assert seq([1, 2, 4, 8]).n_max == 3
+    def test_validation(self):
+        with pytest.raises(ValueError, match="N >= 2"):
+            estimate([1, 2])
+        with pytest.raises(ValueError, match="positive"):
+            estimate([1, 0, 2])
+        with pytest.raises(ValueError, match="positive"):
+            estimate([1, -3, 2])
+
+    def test_too_short_gives_no_value(self):
+        assert estimated_value([1, 2], 5e-2) is None
+        value = estimated_value([1, 2, 4], 5e-2)
+        assert value.source == "estimated" and value.value == pytest.approx(2.0)
 
 
 class TestWindowStride:
@@ -67,7 +67,7 @@ class TestWindowStride:
 
 class TestEstimate:
     def test_exact_geometric(self):
-        est = estimate(seq([3 * 2 ** n for n in range(9)]))
+        est = estimate([3 * 2 ** n for n in range(9)])
         assert est.ratio_estimate == pytest.approx(2.0, rel=1e-12)
         assert est.window_estimate == pytest.approx(2.0, rel=1e-12)
         assert est.converged and est.window_converged
@@ -76,7 +76,7 @@ class TestEstimate:
     def test_period_two_oscillation(self):
         # ratios alternate 2 and 1/2 but every even-stride window is flat
         values = [1 if n % 2 == 0 else 2 for n in range(9)]
-        est = estimate(seq(values))
+        est = estimate(values)
         assert not est.converged
         assert est.window_converged
         assert est.window_estimate == 1.0
@@ -84,14 +84,14 @@ class TestEstimate:
 
     def test_two_term_growth(self):
         values = [4 * 3 ** n + 2 ** n for n in range(13)]
-        est = estimate(seq(values))
+        est = estimate(values)
         assert est.converged
         assert est.chosen == pytest.approx(3.0, rel=1e-2)
         assert est.root_estimate == pytest.approx(3.0, rel=0.2)
 
     def test_tight_tolerance_defers_to_trend(self):
         values = [4 * 3 ** n + 2 ** n for n in range(13)]
-        est = estimate(seq(values), tol=1e-9)
+        est = estimate(values, tol=1e-9)
         assert not est.converged
         assert not est.settled
         assert est.chosen == est.trend_estimate
@@ -104,7 +104,7 @@ class TestDegreeValue:
 
     def test_from_estimate_uses_window_fallback(self):
         values = [1 if n % 2 == 0 else 2 for n in range(9)]
-        v = DegreeValue.from_estimate(estimate(seq(values)))
+        v = DegreeValue.from_estimate(estimate(values))
         assert v.converged  # window stability rescues the oscillating ratio
         assert v.value == 1.0
 
@@ -166,6 +166,13 @@ class TestProductFormula:
         prof = profile_from_floats([1.0, 10.0, 6.0], base=[1.0, 2.0], relative=[1.0, 3.0])
         verdict = product_formula(prof, ps=[1])
         assert verdict.status is VerdictStatus.FAIL
+
+    @pytest.mark.parametrize("check", [product_formula, lower_bound_check])
+    @pytest.mark.parametrize("p", [-1, 3])
+    def test_out_of_range_grading_raises(self, fib_matrix, check, p):
+        prof = monomial_oracle_profile(MonomialMap(fib_matrix, fibration_dim=1))
+        with pytest.raises(ValueError, match=f"grading {p} out of range"):
+            check(prof, ps=[1, p])
 
     def test_lower_bound_rows(self, fib_matrix):
         prof = monomial_oracle_profile(MonomialMap(fib_matrix, fibration_dim=1))

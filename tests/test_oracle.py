@@ -115,6 +115,12 @@ class TestRingExpandOracle:
         with pytest.raises(OracleSizeError):
             ring_expand_oracle(space, [kaehler_power(space, 1)])
 
+    def test_term_cap(self):
+        # 70 terms per factor: 70^4 cross terms exceed the 2,000,000 cap
+        space = Space((1,) * 8)
+        with pytest.raises(OracleSizeError, match="exceeds cap"):
+            ring_expand_oracle(space, [kaehler_power(space, 4)] * 4)
+
     def test_pair_oracle_agrees(self):
         space = Space((1, 1, 1))
         c1 = CohClass.make(space, 1, {(1, 0, 0): 2, (0, 0, 1): 5})

@@ -1,4 +1,6 @@
 import itertools
+import random
+import warnings
 from fractions import Fraction
 from functools import reduce
 
@@ -467,7 +469,83 @@ class TestSkewProduct:
         assert fiber_degree_sequence(skew_map(), 5, max_total_degree=100) == [1, 2, 4, 8, 16]
 
 
+def _quotient_rule_dominance(f, rng):
+    """Reference for check_dominance: the affine-chart Jacobian in Fractions
+    by the quotient rule (dP_j q - P_j dq) / q^2, ranked by sympy."""
+    space = f.space
+    k = space.dim
+    layout = variable_layout(space)
+    affine_vars = [start + j for start, count in layout for j in range(1, count)]
+    flat_polys = [p for comp in f.components for p in comp]
+    derivatives = [[p.derivative(v) for v in affine_vars] for p in flat_polys]
+    offsets = list(itertools.accumulate((len(c) for c in f.components), initial=0))
+    for _ in range(3):
+        for _attempt in range(40):
+            values = [0] * num_variables(space)
+            for start, count in layout:
+                values[start] = 1
+                for j in range(1, count):
+                    values[start + j] = rng.randint(-9, 9)
+            vals = [Fraction(v) for v in values]
+            point_values = [p.evaluate(vals) for p in flat_polys]
+            pivots = []
+            for i, comp in enumerate(f.components):
+                pivot, best = None, 0
+                for j in range(len(comp)):
+                    val = point_values[offsets[i] + j]
+                    if val != 0 and abs(val) > best:
+                        pivot, best = j, abs(val)
+                pivots.append(pivot)
+            if None in pivots:
+                continue
+            jac = []
+            for i, comp in enumerate(f.components):
+                q_at = offsets[i] + pivots[i]
+                q_val = point_values[q_at]
+                dq = [d.evaluate(vals) for d in derivatives[q_at]]
+                for j in range(len(comp)):
+                    if j == pivots[i]:
+                        continue
+                    p_val = point_values[offsets[i] + j]
+                    dp = [d.evaluate(vals) for d in derivatives[offsets[i] + j]]
+                    jac.append([Fraction(dp[c] * q_val - p_val * dq[c], q_val * q_val)
+                                for c in range(k)])
+            if sympy.Matrix(jac).rank() == k:
+                return True
+            break
+    warnings.warn("no full-rank Jacobian point found; the map may not be dominant",
+                  DominanceWarning)
+    return False
+
+
+def _draw_full_map(data, space):
+    """A random map whose entries are all nonzero and whose tuple i has
+    positive degree in factor i; most such maps are dominant."""
+    components = []
+    for i, n in enumerate(space.factors):
+        degs = tuple(data.draw(st.integers(int(i == j), 2)) for j in range(len(space.factors)))
+        components.append(tuple(_draw_poly(data, space, degs) for _ in range(n + 1)))
+    return RationalMapDesc(space, tuple(components))
+
+
 class TestDominance:
+    @given(st.data(), st.sampled_from([(1,), (2,), (1, 1), (1, 2)]), st.integers(0, 2**32))
+    def test_matches_quotient_rule_route(self, data, factors, seed):
+        # _draw_map gives mostly non-dominant maps (constant tuples, degree-0
+        # rows), _draw_full_map mostly dominant ones
+        draw_map = data.draw(st.sampled_from([_draw_map, _draw_full_map]))
+        f = draw_map(data, Space(factors))
+        outcomes = []
+        for route in (check_dominance, _quotient_rule_dominance):
+            rng = random.Random(seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DominanceWarning)
+                result = route(f, rng)
+            messages = [str(w.message) for w in caught if w.category is DominanceWarning]
+            # the same result, the same warning, and the same draws from rng
+            outcomes.append((result, messages, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
+
     def test_certifies_cremona(self):
         assert check_dominance(cremona()) is True
 

@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs as a subprocess and exits with
-the code its arguments call for (0 success, 1 invalid flag, 3 a FAIL)."""
+the code its arguments call for (0 success or INCONCLUSIVE, 1 invalid flag,
+3 a FAIL)."""
 
 import os
 import subprocess
@@ -25,6 +26,10 @@ ROOT = Path(__file__).resolve().parents[1]
                  1, id="survey-tol-1"),
     pytest.param(["survey_product_formula.py", "--draws", "1", "--k-max", "2", "--n-max", "1"],
                  1, id="survey-n-max-1"),
+    # a cap of 2 stops iteration at once: the verdict is INCONCLUSIVE, not FAIL
+    pytest.param(["skew_product_demo.py", "--cap", "2"], 0, id="demo-cap-2"),
+    pytest.param(["skew_product_demo.py", "--cap", "0"], 1, id="demo-cap-0"),
+    pytest.param(["survey_product_formula.py", "--draws", "0"], 1, id="survey-draws-0"),
 ])
 def test_script_exits_zero(argv, code):
     src = str(ROOT / "src")

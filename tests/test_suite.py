@@ -36,7 +36,7 @@ class TestRunSuite:
     def test_short_horizon_is_inconclusive_not_failed(self):
         report = run_suite(seed=0, n_max=5)
         assert not report.passed
-        assert report.inconclusive
+        assert report.status is VerdictStatus.INCONCLUSIVE
         statuses = {v.name: v.status for v in report.verdicts}
         assert statuses["summed-sequence-convergence"] is VerdictStatus.INCONCLUSIVE
 
