@@ -9,8 +9,8 @@ dynamical degrees of all three, and checks them against the max-product
 prediction d_1 = max(d_1(base), d_1(fiber)).
 
 Exit status mirrors the package CLI: 3 when the product formula FAILs,
-1 on an invalid --n-max, --tol or --cap, 0 otherwise (an INCONCLUSIVE
-verdict included).
+1 on a malformed flag or an invalid --base-exp, --n-max, --tol or --cap,
+0 otherwise (an INCONCLUSIVE verdict included).
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from dyndeg import (
     RationalMapDesc,
     Space,
     VerdictStatus,
-    base_map,
-    fiber_degree_sequence,
-    iterate_multidegrees,
     lower_bound_check,
     product_formula,
-    rational_engine_profile,
 )
-from dyndeg.cli import JobValidationError, _check_settings
+from dyndeg.cli import JobValidationError, _check_settings, _require
+from dyndeg.degrees import profile_from_sequences, rational_sequences
 
 
 def skew_map(base_exp: int) -> RationalMapDesc:
@@ -65,23 +62,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cap", type=int, default=3000,
                         help="stop iterating when the total degree exceeds this")
     parser.add_argument("--tol", type=float, default=5e-2)
-    args = parser.parse_args(argv)
-    if args.base_exp < 1:
-        parser.error("--base-exp must be positive")
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    try:
+        _require(args.base_exp >= 1, "--base-exp must be positive")
         _check_settings(args.n_max, args.tol)
+        _require(args.cap >= 1, "--cap must be at least 1")
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.cap < 1:
-        print("error: --cap must be at least 1", file=sys.stderr)
-        return 1
 
     f = skew_map(args.base_exp)
-    data = iterate_multidegrees(f, args.n_max, max_total_degree=args.cap)
-    fiber = fiber_degree_sequence(f, args.n_max, max_total_degree=args.cap)
-    base_data = iterate_multidegrees(base_map(f), args.n_max,
-                                     max_total_degree=args.cap)
+    records, data = rational_sequences(f, args.n_max, max_total_degree=args.cap)
+    lam, base_lam, fiber = (record["values"] for record in records)
 
     print(f"skew product (x, y) -> (x^{args.base_exp}, y^2 + x) "
           f"on P^1 x P^1 over P^1")
@@ -93,16 +88,14 @@ def main(argv: list[str] | None = None) -> int:
               f"{'base(n)':>10}{'fiber(n)':>10}")
     print(header)
     print("-" * len(header))
-    lam = list(data.lambda1)
-    base_lam = list(base_data.lambda1)
     for n in range(len(lam)):
         multi_s = str(data.multidegrees[n - 1]) if n >= 1 else "identity"
         base_s = f"{base_lam[n]}" if n < len(base_lam) else "-"
         fiber_s = f"{fiber[n]}" if n < len(fiber) else "-"
         print(f"{n:>3}  {multi_s:<26}{lam[n]:>12}{base_s:>10}{fiber_s:>10}")
 
-    profile = rational_engine_profile(f, args.n_max, args.tol,
-                                      max_total_degree=args.cap)
+    profile = profile_from_sequences(records, f.space.dim, f.fibered_space.base_dim,
+                                     args.tol, "rational-engine")
     print()
     print(f"estimated d_1(total)    = {_fmt_value(profile.degrees[1])}")
     print(f"estimated d_1(base)     = {_fmt_value(profile.base[1])}")

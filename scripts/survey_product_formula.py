@@ -8,9 +8,9 @@ checks (product formula, lower bounds, log-concavity, distinctness
 inheritance) on both routes.  Engine-vs-oracle agreement is reported as
 the worst relative gap across decided gradings.
 
-Exit status mirrors the package CLI: 0 when no check fails, 1 on an
-invalid --n-max or --tol or when the flags leave no map to survey
-(--draws below 1, --k-max below 2), 3 otherwise.
+Exit status mirrors the package CLI: 0 when no check fails, 1 on a
+malformed flag, an invalid --n-max or --tol or when the flags leave no map
+to survey (--draws below 1, --k-max below 2), 3 otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from dyndeg import (
     VerdictStatus,
@@ -30,7 +29,7 @@ from dyndeg import (
     monomial_oracle_profile,
     product_formula,
 )
-from dyndeg.cli import JobValidationError, _check_settings
+from dyndeg.cli import JobValidationError, _check_settings, _require
 from dyndeg.sampling import fibration_shapes, random_fibered_map
 
 EXACT_TOL = 1e-9
@@ -41,16 +40,6 @@ CHECKS = (
     ("log-concavity", log_concavity),
     ("distinctness", distinctness_implication),
 )
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    seed: int = 0
-    draws: int = 5
-    k_max: int = 4
-    n_max: int = 60
-    tol: float = 5e-2
-    out: str | None = None
 
 
 def _profile_gap(engine, oracle) -> float:
@@ -67,19 +56,19 @@ def _profile_gap(engine, oracle) -> float:
     return worst
 
 
-def survey(config: SurveyConfig) -> dict:
-    rng = random.Random(config.seed)
+def survey(seed: int, draws: int, k_max: int, n_max: int, tol: float) -> dict:
+    rng = random.Random(seed)
     maps = []
     tallies = {
         route: {name: {s.value: 0 for s in VerdictStatus} for name, _ in CHECKS}
         for route in ("oracle", "engine")
     }
     worst_gap = 0.0
-    for k, l in fibration_shapes(config.k_max):
-        for _ in range(config.draws):
+    for k, l in fibration_shapes(k_max):
+        for _ in range(draws):
             f, resamples = random_fibered_map(rng, k, l)
             oracle_prof = monomial_oracle_profile(f)
-            engine_prof = monomial_engine_profile(f, config.n_max, config.tol)
+            engine_prof = monomial_engine_profile(f, n_max, tol)
             gap = _profile_gap(engine_prof, oracle_prof)
             worst_gap = max(worst_gap, gap)
             entry = {
@@ -89,20 +78,20 @@ def survey(config: SurveyConfig) -> dict:
                 "engine_vs_oracle_gap": gap,
                 "checks": {},
             }
-            for route, prof, tol in (
+            for route, prof, route_tol in (
                 ("oracle", oracle_prof, EXACT_TOL),
-                ("engine", engine_prof, config.tol),
+                ("engine", engine_prof, tol),
             ):
                 for name, check in CHECKS:
-                    verdict = check(prof, tol=tol)
+                    verdict = check(prof, tol=route_tol)
                     tallies[route][name][verdict.status.value] += 1
                     entry["checks"][f"{name}-{route}"] = verdict.status.value
             maps.append(entry)
     return {
-        "seed": config.seed,
-        "draws_per_shape": config.draws,
-        "n_max": config.n_max,
-        "tolerance": config.tol,
+        "seed": seed,
+        "draws_per_shape": draws,
+        "n_max": n_max,
+        "tolerance": tol,
         "maps": maps,
         "tallies": tallies,
         "worst_engine_vs_oracle_gap": worst_gap,
@@ -133,24 +122,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=60)
     parser.add_argument("--tol", type=float, default=5e-2)
     parser.add_argument("--out", default=None, help="write the full report as JSON")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
     try:
         _check_settings(args.n_max, args.tol)
+        _require(args.draws >= 1 and args.k_max >= 2,
+                 "--draws must be at least 1 and --k-max at least 2")
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.draws < 1 or args.k_max < 2:
-        print("error: --draws must be at least 1 and --k-max at least 2", file=sys.stderr)
-        return 1
-    config = SurveyConfig(args.seed, args.draws, args.k_max, args.n_max,
-                          args.tol, args.out)
-    report = survey(config)
+    report = survey(args.seed, args.draws, args.k_max, args.n_max, args.tol)
     _print_report(report)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"\nreport written to {config.out}")
+        print(f"\nreport written to {args.out}")
     failed = any(
         counts["FAIL"]
         for by_check in report["tallies"].values()

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import monomial, rational, suite as suite_mod
-from .cohomology import Space, alpha, mass
+from .cohomology import Space
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     DEFAULT_EXACT_TOL,
@@ -60,6 +60,7 @@ from .degrees import (
     lower_bound_check,
     monomial_engine_profile,
     monomial_oracle_profile,
+    monomial_sequences,
     product_formula,
     rational_engine_profile,
     rational_sequences,
@@ -325,40 +326,14 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED if overall == "FAIL" else EXIT_OK
 
 
-def _monomial_sequences(job: Job) -> list[dict]:
-    """Every sequence of f reads the one pullback table of its grading."""
-    f = job.map
-    k = f.dim
-    grading = _grading_list(job, k)
-    l = f.fibration_dim
-    needed = set(grading) if l is None else set(grading) | set(range(k - l + 1))
-    tables = {p: monomial.pullback_class_sequence(f, p, job.n_max) for p in sorted(needed)}
-    out = [{"kind": "total", "p": p, "q": None, "values": [mass(c) for c in tables[p]]}
-           for p in grading]
-    if l is not None:
-        for j in range(l + 1):
-            out.append({"kind": "base", "p": j, "q": None,
-                        "values": monomial.c_p_sequence(f.base_block(), j, job.n_max)})
-        for p in range(k - l + 1):
-            out.append({"kind": "relative", "p": p, "q": None,
-                        "values": [alpha(c, 0) for c in tables[p]]})
-        for p in grading:
-            mixed = {q: [alpha(c, p - q) for c in tables[p]]
-                     for q in monomial.admissible_q(f, p)}
-            out += [{"kind": "mixed", "p": p, "q": q, "values": values}
-                    for q, values in mixed.items()]
-            out.append({"kind": "summed", "p": p, "q": None,
-                        "values": [sum(column) for column in zip(*mixed.values())]})
-    return out
-
-
 def cmd_sequence(args: argparse.Namespace) -> int:
     job = load_job(args.input, args)
-    truncated = False
     if job.kind == "monomial":
-        sequences = _monomial_sequences(job)
+        sequences = monomial_sequences(job.map, job.n_max, _grading_list(job, job.map.dim))
+        truncated = False
     else:
-        sequences, truncated = rational_sequences(job.map, job.n_max)
+        sequences, data = rational_sequences(job.map, job.n_max)
+        truncated = data.truncated
     enriched = []
     for seq in sequences:
         value = estimated_value(seq["values"], job.tolerance)

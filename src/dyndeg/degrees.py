@@ -17,12 +17,14 @@ The chosen value is the ratio when its tail is stable, else the window
 estimate; each has its own convergence flag so callers can distinguish
 "converged", "stably oscillating" and "genuinely undecided".
 
-Degree profiles collect total, base and relative degrees of a fibered map
-and feed the structural checks: log-concavity, the max-product formula
-over the admissible window, the one-sided lower bound, and the
-distinctness implication from total degrees to factor degrees.  Checks
-return PASS / FAIL / INCONCLUSIVE verdicts; a row is only allowed to FAIL
-on converged data, and undecided data downgrades PASS to INCONCLUSIVE.
+Two builders emit a map's exact sequences as records (kind, p, q,
+values): monomial_sequences and rational_sequences.  One fold,
+profile_from_sequences, turns the total, base and relative records into a
+degree profile.  Profiles feed the structural checks: log-concavity, the
+max-product formula over the admissible window, the one-sided lower bound,
+and the distinctness implication from total degrees to factor degrees.
+Checks return PASS / FAIL / INCONCLUSIVE verdicts; a row is only allowed to
+FAIL on converged data, and undecided data downgrades PASS to INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
-from .cohomology import FibrationError, admissible_window, alpha, mass
+from .cohomology import CohClass, FibrationError, admissible_window, alpha, mass
 
 DEFAULT_ESTIMATE_TOL = 5e-2
 DEFAULT_EXACT_TOL = 1e-9
@@ -406,12 +408,6 @@ def lower_bound_check(
     return combine_rows("lower-bound", rows)
 
 
-def _estimated_values(
-    sequences: Iterable[Sequence[int]], tol: float
-) -> tuple[DegreeValue, ...]:
-    return tuple(DegreeValue.from_estimate(estimate(values, tol)) for values in sequences)
-
-
 def monomial_oracle_profile(f: monomial.MonomialMap) -> DegreeProfile:
     """Exact spectral degree profile of a fibered monomial map."""
     totals = oracle.eigen_degrees(f.matrix)
@@ -430,51 +426,114 @@ def monomial_oracle_profile(f: monomial.MonomialMap) -> DegreeProfile:
     )
 
 
+def profile_from_sequences(
+    records: Iterable[dict],
+    dim: int,
+    base_dim: int | None,
+    tol: float,
+    label: str,
+) -> DegreeProfile:
+    """The degree profile a builder's total, base and relative records estimate.
+
+    Each (kind, p) record gives its estimated_value.  A grading with no
+    record has no degree (None), except grading 0, whose degree is exactly
+    1 for every map.  base_dim None gives an unfibred profile.
+    """
+    values = {(r["kind"], r["p"]): r["values"] for r in records}
+
+    def estimates(kind: str, top: int) -> tuple[DegreeValue | None, ...]:
+        return tuple(
+            estimated_value(values[kind, p], tol) if (kind, p) in values
+            else DegreeValue.exact(1.0) if p == 0 else None
+            for p in range(top + 1)
+        )
+
+    if base_dim is None:
+        return DegreeProfile(dim, None, estimates("total", dim), label=label)
+    return DegreeProfile(dim, base_dim, estimates("total", dim),
+                         estimates("base", base_dim),
+                         estimates("relative", dim - base_dim), label=label)
+
+
+def _record(kind: str, p: int, values: list[int], q: int | None = None) -> dict:
+    return {"kind": kind, "p": p, "q": q, "values": values}
+
+
+def _monomial_records(
+    f: monomial.MonomialMap, n_max: int, grading: Sequence[int]
+) -> tuple[list[dict], dict[int, list[CohClass]]]:
+    """The total records of the gradings in grading and, for a fibred f,
+    every base and relative record, with the pullback tables they read.
+
+    Total and relative records of grading p read the same table: mass and
+    alpha(., 0) of each class.
+    """
+    k, l = f.dim, f.fibration_dim
+    needed = set(grading) if l is None else set(grading) | set(range(k - l + 1))
+    tables = {p: monomial.pullback_class_sequence(f, p, n_max) for p in sorted(needed)}
+    out = [_record("total", p, [mass(c) for c in tables[p]]) for p in grading]
+    if l is not None:
+        out += [_record("base", j, monomial.c_p_sequence(f.base_block(), j, n_max))
+                for j in range(l + 1)]
+        out += [_record("relative", p, [alpha(c, 0) for c in tables[p]])
+                for p in range(k - l + 1)]
+    return out, tables
+
+
+def monomial_sequences(
+    f: monomial.MonomialMap, n_max: int, grading: Sequence[int]
+) -> list[dict]:
+    """The exact sequences of a monomial map, the monomial twin of
+    rational_sequences.
+
+    Each record has kind, p, q and values: the total sequence of each
+    grading in grading and, for a fibred f, every base and relative
+    sequence, then the mixed sequences a_{q,p} and their sum b_p for each
+    grading in grading.  Every record of grading p pairs the one pullback
+    table of p against its weight.
+    """
+    out, tables = _monomial_records(f, n_max, grading)
+    if f.fibration_dim is not None:
+        for p in grading:
+            mixed = {q: [alpha(c, p - q) for c in tables[p]]
+                     for q in monomial.admissible_q(f, p)}
+            out += [_record("mixed", p, values, q) for q, values in mixed.items()]
+            out.append(_record("summed", p, [sum(column) for column in zip(*mixed.values())]))
+    return out
+
+
 def monomial_engine_profile(
     f: monomial.MonomialMap,
     n_max: int,
     tol: float = DEFAULT_ESTIMATE_TOL,
 ) -> DegreeProfile:
-    """Degree profile estimated from exact pullback sequences of f.
-
-    Total and relative degrees of grading p read the same pullback table.
-    """
-    k = f.dim
-    tables = [monomial.pullback_class_sequence(f, p, n_max) for p in range(k + 1)]
-    degrees = _estimated_values(([mass(c) for c in table] for table in tables), tol)
-    if f.fibration_dim is None:
-        return DegreeProfile(k, None, degrees, label="monomial-engine")
-    l = f.fibration_dim
-    base = _estimated_values(
-        (monomial.c_p_sequence(f.base_block(), j, n_max) for j in range(l + 1)), tol
-    )
-    relative = _estimated_values(
-        ([alpha(c, 0) for c in tables[p]] for p in range(k - l + 1)), tol
-    )
-    return DegreeProfile(k, l, degrees, base, relative, label="monomial-engine")
+    """Degree profile of f folded from its exact total, base and relative
+    sequences."""
+    records, _ = _monomial_records(f, n_max, range(f.dim + 1))
+    return profile_from_sequences(records, f.dim, f.fibration_dim, tol, "monomial-engine")
 
 
 def rational_sequences(
     f: rational.RationalMapDesc,
     n_max: int,
     max_total_degree: int = rational.DEFAULT_MAX_TOTAL_DEGREE,
-) -> tuple[list[dict], bool]:
-    """The grading-1 sequences of a rational map, and whether f's iteration
-    was truncated.
+) -> tuple[list[dict], rational.IterateData]:
+    """The grading-1 sequences of a rational map, and f's iterate data.
 
     Each record has kind, p, q and values: the total sequence of f and, for
     a skew product, the base map's sequence and the relative (fiber) one.
     A fibred map that is not a skew product gets the total sequence only.
-    Each list stops where the degree cap stopped its own iteration.
+    Each list stops where the degree cap stopped its own iteration; the
+    iterate data says whether f's did.
     """
     data = rational.iterate_multidegrees(f, n_max, max_total_degree)
-    out = [{"kind": "total", "p": 1, "q": None, "values": list(data.lambda1)}]
+    out = [_record("total", 1, list(data.lambda1))]
     if f.fibration_dim is not None and rational.validate_skew(f):
         base_data = rational.iterate_multidegrees(rational.base_map(f), n_max, max_total_degree)
-        out.append({"kind": "base", "p": 1, "q": None, "values": list(base_data.lambda1)})
-        out.append({"kind": "relative", "p": 1, "q": None,
-                    "values": rational.fiber_degree_sequence(f, n_max, max_total_degree)})
-    return out, data.truncated
+        out.append(_record("base", 1, list(base_data.lambda1)))
+        out.append(_record("relative", 1,
+                           rational.fiber_degree_sequence(f, n_max, max_total_degree)))
+    return out, data
 
 
 def rational_engine_profile(
@@ -484,23 +543,13 @@ def rational_engine_profile(
     max_total_degree: int = rational.DEFAULT_MAX_TOTAL_DEGREE,
 ) -> DegreeProfile:
     """Partial degree profile of a rational map (gradings 0 and 1 only),
-    estimated from the records of rational_sequences.
+    folded from the records of rational_sequences.
 
     Iteration can stop early at the degree cap; the estimates then use the
     computed prefix, and sequences too short to estimate yield None.
     """
-    sequences, _ = rational_sequences(f, n_max, max_total_degree)
-
-    def graded(dim: int, record: dict) -> tuple[DegreeValue | None, ...]:
-        first = estimated_value(record["values"], tol)
-        return (DegreeValue.exact(1.0), first) + (None,) * (dim - 1)
-
-    k = f.space.dim
-    if f.fibration_dim is None:
-        return DegreeProfile(k, None, graded(k, sequences[0]), label="rational-engine")
-    if len(sequences) == 1:
+    records, _ = rational_sequences(f, n_max, max_total_degree)
+    base_dim = None if f.fibration_dim is None else f.fibered_space.base_dim
+    if base_dim is not None and len(records) == 1:
         raise FibrationError("rational profile needs skew-product shape")
-    total, base, relative = sequences
-    big_l = f.fibered_space.base_dim
-    return DegreeProfile(k, big_l, graded(k, total), graded(big_l, base),
-                         graded(k - big_l, relative), label="rational-engine")
+    return profile_from_sequences(records, f.space.dim, base_dim, tol, "rational-engine")

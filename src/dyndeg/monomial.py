@@ -102,9 +102,6 @@ class MonomialMap:
         l = self._require_fibration()
         return submatrix(self.matrix, range(l, self.dim), range(l, self.dim))
 
-    def base_map(self) -> "MonomialMap":
-        return MonomialMap(self.base_block())
-
     def fiber_map(self) -> "MonomialMap":
         return MonomialMap(self.fiber_block())
 
@@ -127,8 +124,6 @@ class CompoundOperator:
     the 1x1 identity, p = 1 the matrix itself, p = k the determinant.
     """
 
-    source_dim: int
-    order: int
     subsets: tuple[tuple[int, ...], ...]
     matrix: IntMatrix
 
@@ -144,7 +139,7 @@ def compound(matrix, p: int) -> CompoundOperator:
     entries = tuple(
         tuple(det(submatrix(mat, rows, cols)) for cols in subsets) for rows in subsets
     )
-    return CompoundOperator(k, p, subsets, entries)
+    return CompoundOperator(subsets, entries)
 
 
 def _subset_exponent(space: Space, subset: tuple[int, ...]) -> tuple[int, ...]:

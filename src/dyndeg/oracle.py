@@ -139,19 +139,10 @@ def eigen_degrees(matrix) -> EigenDegrees:
     return result
 
 
-TermList = Sequence[tuple[Sequence[int], int]]
-
-
-def _as_term_list(factor) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if isinstance(factor, CohClass):
-        return factor.terms
-    return tuple((tuple(int(x) for x in e), int(c)) for e, c in factor)
-
-
 _TERM_CAP = 2_000_000
 
 
-def ring_expand_oracle(space: Space, factors: Iterable[CohClass | TermList]) -> CohClass:
+def ring_expand_oracle(space: Space, factors: Iterable[CohClass]) -> CohClass:
     """Expand a product of classes term by term, with truncation only.
 
     Every cross term of the full product is formed explicitly (no pairwise
@@ -161,19 +152,13 @@ def ring_expand_oracle(space: Space, factors: Iterable[CohClass | TermList]) -> 
     """
     if space.dim > 8:
         raise OracleSizeError("brute-force oracle is limited to dim <= 8")
-    term_lists = [_as_term_list(f) for f in factors]
-    if not term_lists:
+    factors = list(factors)
+    if not factors:
         return unit_class(space)
+    term_lists = [f.terms for f in factors]
     count = math.prod(len(t) for t in term_lists)
     if count > _TERM_CAP:
         raise OracleSizeError(f"expansion of {count} terms exceeds cap {_TERM_CAP}")
-    degrees = []
-    for terms in term_lists:
-        degs = {sum(e) for e, _ in terms}
-        if len(degs) > 1:
-            raise ValueError("oracle factors must be pure-degree classes")
-        degrees.append(degs.pop() if degs else 0)
-    total_degree = sum(degrees)
     bounds = space.factors
     acc: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*term_lists):
@@ -187,7 +172,7 @@ def ring_expand_oracle(space: Space, factors: Iterable[CohClass | TermList]) -> 
             continue
         key = tuple(exponent)
         acc[key] = acc.get(key, 0) + coefficient
-    return CohClass.make(space, total_degree, acc)
+    return CohClass.make(space, sum(f.degree for f in factors), acc)
 
 
 def pair_oracle(c1: CohClass, c2: CohClass) -> int:

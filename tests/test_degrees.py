@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dyndeg.cohomology import FibrationError, Space
+from dyndeg.cohomology import FibrationError, Space, alpha, mass
 from dyndeg.degrees import (
     DegreeProfile,
     DegreeValue,
@@ -20,8 +21,15 @@ from dyndeg.degrees import (
     rational_engine_profile,
     window_stride,
 )
-from dyndeg.monomial import MonomialMap
-from dyndeg.rational import MultiHomPoly, RationalMapDesc
+from dyndeg.intmat import det, freeze
+from dyndeg.monomial import MonomialMap, c_p_sequence, pullback_class_sequence
+from dyndeg.rational import (
+    MultiHomPoly,
+    RationalMapDesc,
+    base_map,
+    fiber_degree_sequence,
+    iterate_multidegrees,
+)
 
 
 def profile_from_floats(degrees, base=None, relative=None, sources=None):
@@ -241,21 +249,24 @@ class TestEngineVsOracle:
                 assert g.value == pytest.approx(w.value, rel=5e-2)
 
 
+def _skew():
+    """The skew product (x, y) -> (x^3, y^2 + x) of P^1 x P^1 over P^1."""
+    space = Space((1, 1), base_factors=1)
+    mk = lambda coeffs: MultiHomPoly.make(space, coeffs)
+    return RationalMapDesc(
+        space,
+        (
+            (mk({(3, 0, 0, 0): 1}), mk({(0, 3, 0, 0): 1})),
+            (mk({(1, 0, 2, 0): 1}), mk({(1, 0, 0, 2): 1, (0, 1, 2, 0): 1})),
+        ),
+        fibration_dim=1,
+    )
+
+
 class TestRationalEngineProfile:
-    def _skew(self):
-        space = Space((1, 1), base_factors=1)
-        mk = lambda coeffs: MultiHomPoly.make(space, coeffs)
-        return RationalMapDesc(
-            space,
-            (
-                (mk({(3, 0, 0, 0): 1}), mk({(0, 3, 0, 0): 1})),
-                (mk({(1, 0, 2, 0): 1}), mk({(1, 0, 0, 2): 1, (0, 1, 2, 0): 1})),
-            ),
-            fibration_dim=1,
-        )
 
     def test_skew_profile(self):
-        prof = rational_engine_profile(self._skew(), n_max=6, max_total_degree=3000)
+        prof = rational_engine_profile(_skew(), n_max=6, max_total_degree=3000)
         assert prof.dim == 2 and prof.base_dim == 1
         assert prof.degrees[0].value == 1.0
         assert prof.degrees[1].value == pytest.approx(3.0, rel=5e-2)
@@ -264,14 +275,105 @@ class TestRationalEngineProfile:
         assert prof.relative[1].value == pytest.approx(2.0, rel=1e-12)
 
     def test_truncated_prefix_still_estimates(self):
-        prof = rational_engine_profile(self._skew(), n_max=10, max_total_degree=400)
+        prof = rational_engine_profile(_skew(), n_max=10, max_total_degree=400)
         # the cap stops iteration early but leaves enough terms to estimate
         assert prof.degrees[1] is not None
         assert prof.degrees[1].value == pytest.approx(3.0, rel=5e-2)
 
     def test_product_formula_on_estimates(self):
-        prof = rational_engine_profile(self._skew(), n_max=6, max_total_degree=3000)
+        prof = rational_engine_profile(_skew(), n_max=6, max_total_degree=3000)
         verdict = product_formula(prof, tol=5e-2, ps=[0, 1])
         assert verdict.status is VerdictStatus.PASS
         row = next(r for r in verdict.rows if r["p"] == 1)
         assert row["argmax"] == [1]  # base expansion dominates the fiber
+
+
+# ------------------------------------------------ the fold against the old route
+
+
+def _estimated(values, tol):
+    return None if len(values) < 3 else DegreeValue.from_estimate(estimate(values, tol))
+
+
+def _reference_monomial_profile(f, n_max, tol):
+    """The previous monomial route: one table per p, estimate on each list."""
+    k = f.dim
+    tables = [pullback_class_sequence(f, p, n_max) for p in range(k + 1)]
+    degrees = tuple(_estimated([mass(c) for c in table], tol) for table in tables)
+    if f.fibration_dim is None:
+        return DegreeProfile(k, None, degrees, label="monomial-engine")
+    l = f.fibration_dim
+    base = tuple(_estimated(c_p_sequence(f.base_block(), j, n_max), tol) for j in range(l + 1))
+    relative = tuple(_estimated([alpha(c, 0) for c in tables[p]], tol)
+                     for p in range(k - l + 1))
+    return DegreeProfile(k, l, degrees, base, relative, label="monomial-engine")
+
+
+def _reference_rational_profile(f, n_max, tol, cap):
+    """The previous rational route: d_0 = 1 exactly, d_1 estimated from the
+    prefix iteration reached, no higher grading."""
+    def graded(dim, values):
+        return (DegreeValue.exact(1.0), _estimated(list(values), tol)) + (None,) * (dim - 1)
+
+    k = f.space.dim
+    total = iterate_multidegrees(f, n_max, cap).lambda1
+    if f.fibration_dim is None:
+        return DegreeProfile(k, None, graded(k, total), label="rational-engine")
+    big_l = f.fibered_space.base_dim
+    base = iterate_multidegrees(base_map(f), n_max, cap).lambda1
+    relative = fiber_degree_sequence(f, n_max, cap)
+    return DegreeProfile(k, big_l, graded(k, total), graded(big_l, base),
+                         graded(k - big_l, relative), label="rational-engine")
+
+
+@st.composite
+def small_monomial_maps(draw):
+    """Fibred and unfibred monomial maps of (P^1)^k, k <= 4, det != 0."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.one_of(st.none(), st.integers(1, k - 1)))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    if l is not None:
+        rows = [[0 if i < l <= j else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    assume(det(freeze(rows)) != 0)
+    return MonomialMap(rows, l)
+
+
+@given(small_monomial_maps(), st.integers(2, 12), st.sampled_from([5e-2, 1e-3]))
+def test_monomial_fold_matches_reference(f, n_max, tol):
+    assert (monomial_engine_profile(f, n_max, tol).to_dict()
+            == _reference_monomial_profile(f, n_max, tol).to_dict())
+
+
+def _p1_map():
+    space = Space((1,))
+    mk = lambda coeffs: MultiHomPoly.make(space, coeffs)
+    return RationalMapDesc(space, ((mk({(2, 0): 1, (0, 2): 3}), mk({(1, 1): 1})),))
+
+
+def _cremona():
+    space = Space((2,))
+    mk = lambda coeffs: MultiHomPoly.make(space, coeffs)
+    return RationalMapDesc(space, ((mk({(0, 1, 1): 2}), mk({(1, 0, 1): -3}),
+                                    mk({(1, 1, 0): 5})),))
+
+
+# case: (map, degree cap, largest n_max drawn).  The skew map at cap 3000
+# stops at n = 8, but only after composing f^8, which takes tens of seconds.
+_RATIONAL_CASES = {
+    "skew-cap-400": (_skew(), 400, 12),
+    "skew-cap-3000": (_skew(), 3000, 7),
+    "cremona": (_cremona(), 400, 12),
+    "p1": (_p1_map(), 400, 12),
+}
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(sorted(_RATIONAL_CASES)).flatmap(
+    lambda case: st.tuples(st.just(case), st.integers(2, _RATIONAL_CASES[case][2]))))
+def test_rational_fold_matches_reference(case_n):
+    case, n_max = case_n
+    f, cap, _ = _RATIONAL_CASES[case]
+    got = rational_engine_profile(f, n_max, 5e-2, max_total_degree=cap)
+    assert got.to_dict() == _reference_rational_profile(f, n_max, 5e-2, cap).to_dict()
