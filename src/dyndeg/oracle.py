@@ -4,10 +4,14 @@ Three deliberately separate routes live here:
 
 * eigen_degrees: the spectral route.  The characteristic polynomial of the
   exponent matrix is computed exactly over the integers (Faddeev-LeVerrier,
-  every division asserted exact), then all roots are found simultaneously
-  at high working precision.  The degree-p reference value is the product
-  of the p largest root moduli.  Nothing is shared with the compound-matrix
-  engine beyond the input matrix.
+  every division asserted exact); its constant term gives the determinant.
+  Each square-free factor's roots are first approximated by Aberth
+  iteration in complex doubles, then polished to 60 digits by mpmath's
+  polyroots from that start; if the start is unusable or the polish does
+  not converge, polyroots runs once more from its own cold start.  Root
+  moduli are memoized by polynomial.  The degree-p reference value is the
+  product of the p largest root moduli.  Nothing is shared with the
+  compound-matrix engine beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
   multiplies term lists outright with truncation and no intermediate
@@ -20,16 +24,18 @@ Three deliberately separate routes live here:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath as mp
 import sympy
 
 from .cohomology import CohClass, Space, unit_class
-from .intmat import det, freeze, identity, mat_mul, mat_pow, trace
+from .intmat import freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
 
 
@@ -73,6 +79,7 @@ def charpoly(matrix) -> tuple[int, ...]:
 
 _ORACLE_DPS = 60
 _ROOT_TOL = 1e-10
+_ABERTH_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,77 @@ class EigenDegrees:
         return self.degrees[p]
 
 
-def _root_moduli(poly: Sequence[int]) -> list[float]:
+def _aberth_start(coeffs: Sequence[int]) -> list[complex] | None:
+    """Double-precision approximations to the roots of a square-free polynomial.
+
+    Aberth-Ehrlich simultaneous iteration (Aberth, Math. Comp. 27, 1973) in
+    complex doubles, from points on a circle about the roots' centroid.  It
+    stops once every correction is below 1e-15 of its root, or after
+    _ABERTH_SWEEPS sweeps.  The result only seeds the 60-digit polish, so it
+    carries no accuracy guarantee; None means the iteration broke down (a
+    value overflows a double, or two approximations coincide).
+    """
+    deg = len(coeffs) - 1
+    try:
+        monic = [c / coeffs[0] for c in coeffs]
+        centre = -monic[1] / deg
+        radius = max(abs(c) ** (1.0 / i) for i, c in enumerate(monic) if i) or 1.0
+        roots = [
+            centre + radius * cmath.exp(1j * (2 * math.pi * i / deg + 0.4))
+            for i in range(deg)
+        ]
+        for _ in range(_ABERTH_SWEEPS):
+            settled = True
+            for i, z in enumerate(roots):
+                value, slope = monic[0], 0j
+                for c in monic[1:]:
+                    slope = slope * z + value
+                    value = value * z + c
+                pull = sum(1 / (z - w) for j, w in enumerate(roots) if j != i)
+                step = value / (slope - value * pull)
+                roots[i] = z - step
+                settled = settled and abs(step) <= 1e-15 * abs(z)
+            if settled:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return roots
+
+
+def _factor_roots(coeffs: list[int]) -> list:
+    """All roots of a square-free integer polynomial at the working precision.
+
+    mpmath's Durand-Kerner iteration starts from the Aberth approximations
+    and needs only a few quadratic steps from there.  If there is no finite
+    start, or the warm-started iteration does not converge, the cold start
+    runs once before RootFindingError is raised.
+    """
+    start = _aberth_start(coeffs)
+    if start is not None and all(cmath.isfinite(z) for z in start):
+        try:
+            return mp.polyroots(coeffs, maxsteps=600, extraprec=200,
+                                roots_init=[mp.mpc(z) for z in start])
+        except mp.mp.NoConvergence:
+            pass
+    try:
+        return mp.polyroots(coeffs, maxsteps=600, extraprec=200)
+    except mp.mp.NoConvergence as exc:
+        raise RootFindingError(
+            "simultaneous root iteration did not converge"
+        ) from exc
+
+
+@lru_cache(maxsize=None)
+def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     """All complex root moduli of an integer polynomial, with multiplicity.
 
     Multiple roots break simultaneous iteration, so the polynomial is first
     split into squarefree factors exactly over the integers; each factor
-    then has distinct roots and the iteration converges.
+    then has distinct roots.  Its roots are polished to 60 digits from a
+    double-precision Aberth start (_factor_roots), so each modulus is a
+    60-digit root rounded to a float.  The result is memoized by
+    polynomial: a matrix, its transpose and a repeated block share one
+    root-finding.
     """
     x = sympy.Symbol("x")
     _, factors = sympy.Poly(list(poly), x, domain=sympy.ZZ).sqf_list()
@@ -110,28 +182,22 @@ def _root_moduli(poly: Sequence[int]) -> list[float]:
             coeffs = [int(c) for c in factor.all_coeffs()]
             if len(coeffs) < 2:
                 continue
-            try:
-                roots = mp.polyroots(coeffs, maxsteps=600, extraprec=200)
-            except mp.mp.NoConvergence as exc:
-                raise RootFindingError(
-                    "simultaneous root iteration did not converge"
-                ) from exc
-            for r in roots:
+            for r in _factor_roots(coeffs):
                 moduli.extend([float(abs(r))] * multiplicity)
-    return moduli
+    return tuple(moduli)
 
 
 def eigen_degrees(matrix) -> EigenDegrees:
-    mat = freeze(matrix)
-    if det(mat) == 0:
+    poly = charpoly(matrix)
+    det = (-1) ** (len(poly) - 1) * poly[-1]
+    if det == 0:
         raise NonDominantError("matrix is singular (det = 0)")
-    poly = charpoly(mat)
     moduli = sorted(_root_moduli(poly), reverse=True)
     degrees = [1.0]
     for m in moduli:
         degrees.append(degrees[-1] * m)
     result = EigenDegrees(tuple(moduli), tuple(degrees))
-    residual = abs(result.degrees[-1] - abs(det(mat))) / abs(det(mat))
+    residual = abs(result.degrees[-1] - abs(det)) / abs(det)
     if residual > _ROOT_TOL:
         raise RootFindingError(
             f"root moduli product misses |det| by relative {residual:.3e}"

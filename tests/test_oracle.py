@@ -1,8 +1,13 @@
+import cmath
+import json
 import math
 
+import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from dyndeg import cli, oracle
 from dyndeg.cohomology import (
     CohClass,
     Space,
@@ -11,10 +16,11 @@ from dyndeg.cohomology import (
     mul,
     pair,
 )
-from dyndeg.intmat import freeze, identity
+from dyndeg.intmat import det, freeze, identity
 from dyndeg.monomial import MonomialMap, NonDominantError, pullback_class_sequence
 from dyndeg.oracle import (
     OracleSizeError,
+    RootFindingError,
     charpoly,
     compound_vs_minors,
     eigen_degrees,
@@ -48,6 +54,16 @@ class TestCharpoly:
         assert poly[0] == 1
         assert poly[1] == -trace(mat)
         assert poly[k] == (-1) ** k * det(mat)
+
+    @given(st.integers(1, 7).flatmap(lambda k: matrices(k, 3)))
+    def test_constant_coefficient_is_signed_determinant(self, mat):
+        # eigen_degrees reads det(A) from the charpoly instead of eliminating
+        k = len(mat)
+        d = (-1) ** k * charpoly(mat)[-1]
+        assert d == det(mat)
+        if d == 0:
+            with pytest.raises(NonDominantError):
+                eigen_degrees(mat)
 
     @given(st.integers(2, 4).flatmap(matrices))
     def test_cayley_hamilton(self, mat):
@@ -95,6 +111,148 @@ class TestEigenDegrees:
             lhs = got.degrees[p] ** 2
             rhs = got.degrees[p - 1] * got.degrees[p + 1]
             assert lhs >= rhs * (1 - 1e-9)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _cold_moduli(poly):
+    """The cold-start route: mpmath's own starting points on every factor."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(poly), x, domain=sympy.ZZ).sqf_list()
+    moduli = []
+    with mp.workdps(60):
+        for factor, multiplicity in factors:
+            coeffs = [int(c) for c in factor.all_coeffs()]
+            if len(coeffs) < 2:
+                continue
+            for r in mp.polyroots(coeffs, maxsteps=600, extraprec=200):
+                moduli.extend([float(abs(r))] * multiplicity)
+    return sorted(moduli)
+
+
+_small_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(
+    lambda c: c[0] != 0
+)
+# (b x - a)(b x - a - 1): two roots 1/b apart
+_clustered_pairs = st.tuples(st.integers(-50, 50), st.integers(10**3, 10**6)).map(
+    lambda ab: _poly_mul([ab[1], -ab[0]], [ab[1], -ab[0] - 1])
+)
+
+
+@st.composite
+def integer_polys(draw):
+    """Integer polynomials of degree 1..8, often with q^2 and clustered roots."""
+    q = draw(_small_factors)
+    parts = [q, q] if draw(st.booleans()) else [q]
+    if draw(st.booleans()):
+        parts.append(draw(_clustered_pairs))
+    parts += draw(st.lists(_small_factors, max_size=3))
+    poly = [1]
+    for part in parts:
+        if len(poly) + len(part) - 2 > 8:
+            break
+        poly = _poly_mul(poly, part)
+    return tuple(poly)
+
+
+@pytest.fixture
+def fresh_moduli():
+    oracle._root_moduli.cache_clear()
+    yield
+    oracle._root_moduli.cache_clear()
+
+
+def _counted_polyroots(monkeypatch, fail_warm=False, fail_cold=False):
+    """Replace mp.polyroots; returns the list of roots_init it was given."""
+    real = mp.polyroots
+    seen = []
+
+    def polyroots(coeffs, **kwargs):
+        seen.append(kwargs.get("roots_init"))
+        warm = kwargs.get("roots_init") is not None
+        if (fail_warm and warm) or (fail_cold and not warm):
+            raise mp.mp.NoConvergence("forced")
+        return real(coeffs, **kwargs)
+
+    monkeypatch.setattr(oracle.mp, "polyroots", polyroots)
+    return seen
+
+
+class TestRootModuli:
+    @settings(max_examples=200)
+    @given(integer_polys())
+    def test_matches_cold_start_exactly(self, poly):
+        assert sorted(oracle._root_moduli.__wrapped__(poly)) == _cold_moduli(poly)
+
+    def test_clustered_and_repeated_hand_case(self):
+        poly = tuple(_poly_mul(_poly_mul([1, -3], [1, -3]),
+                               _poly_mul([10**6, -7], [10**6, -8])))
+        got = sorted(oracle._root_moduli.__wrapped__(poly))
+        assert got == _cold_moduli(poly)
+        assert got == [7e-6, 8e-6, 3.0, 3.0]
+
+    def test_memo_shares_transpose(self, monkeypatch, fresh_moduli):
+        # charpoly (t - 2)(t - 3)^2: square-free factors t - 2 and t - 3
+        mat = ((3, 0, 0), (1, 3, 0), (1, 1, 2))
+        transpose = tuple(zip(*mat))
+        assert charpoly(mat) == charpoly(transpose)
+        seen = _counted_polyroots(monkeypatch)
+        first = eigen_degrees(mat)
+        assert eigen_degrees(transpose) == first
+        assert len(seen) == 2
+        assert isinstance(oracle._root_moduli(charpoly(mat)), tuple)
+        oracle._root_moduli.cache_clear()
+        assert eigen_degrees(mat) == first
+        assert len(seen) == 4
+
+    def test_no_convergence_raises(self, monkeypatch, golden_matrix, fresh_moduli):
+        seen = _counted_polyroots(monkeypatch, fail_warm=True, fail_cold=True)
+        with pytest.raises(RootFindingError, match="did not converge"):
+            eigen_degrees(golden_matrix)
+        assert len(seen) == 2
+        assert seen[0] is not None and seen[1] is None
+
+    def test_no_convergence_exits_engine(self, monkeypatch, tmp_path, capsys,
+                                         fresh_moduli):
+        job = tmp_path / "monomial.json"
+        job.write_text(json.dumps({"type": "monomial", "matrix": [[2, 0], [1, 3]],
+                                   "fibration_dim": 1, "n_max": 10}))
+        _counted_polyroots(monkeypatch, fail_warm=True, fail_cold=True)
+        code = cli.main(["degrees", "--input", str(job)])
+        assert code == cli.EXIT_ENGINE == 2
+        assert "computation error:" in capsys.readouterr().err
+
+    def test_failed_warm_start_retries_cold(self, monkeypatch, fresh_moduli):
+        poly = charpoly(((2, 1, 0), (1, 1, 1), (0, 3, 1)))
+        expected = _cold_moduli(poly)
+        seen = _counted_polyroots(monkeypatch, fail_warm=True)
+        assert sorted(oracle._root_moduli(poly)) == expected
+        assert len(seen) == 2
+        assert seen[0] is not None and seen[1] is None
+
+    @pytest.mark.parametrize("start", [7 + 7j, complex("nan")])
+    def test_nonsense_start_keeps_cold_moduli(self, monkeypatch, fresh_moduli, start):
+        poly = charpoly(((2, 1, 0), (1, 1, 1), (0, 3, 1)))
+        expected = _cold_moduli(poly)
+        monkeypatch.setattr(oracle, "_aberth_start",
+                            lambda coeffs: [start] * (len(coeffs) - 1))
+        seen = _counted_polyroots(monkeypatch)
+        assert sorted(oracle._root_moduli(poly)) == expected
+        if cmath.isnan(start):
+            assert seen == [None]  # a non-finite start is never passed on
+
+    def test_perturbed_moduli_trip_residual_guard(self, monkeypatch, golden_matrix):
+        real = oracle._root_moduli
+        monkeypatch.setattr(oracle, "_root_moduli",
+                            lambda poly: tuple(m * (1 + 1e-6) for m in real(poly)))
+        with pytest.raises(RootFindingError, match="misses"):
+            eigen_degrees(golden_matrix)
 
 
 class TestRingExpandOracle:
