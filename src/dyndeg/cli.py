@@ -29,9 +29,10 @@ byte-identical output.
 
 Exit codes: 0 success, 1 invalid job file or arguments, 2 computation
 error (collapse, root-finding failure, degree cap before the requested
-iterate), 3 a verification FAIL.  verify-product reports an INCONCLUSIVE
-check and exits 0; suite exits 3 unless every property passes, so an
-INCONCLUSIVE suite exits 3 too.
+iterate, a degree's n-th root beyond the float range), 3 a verification
+FAIL.  verify-product reports an INCONCLUSIVE check and exits 0; suite
+exits 3 unless every property passes, so an INCONCLUSIVE suite exits 3
+too.
 """
 
 from __future__ import annotations
@@ -508,7 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_JOB
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

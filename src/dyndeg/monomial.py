@@ -21,6 +21,12 @@ fixed weight class: the total sequence takes its mass, the relative and
 mixed sequences take alpha(., j) (relative is j = 0, a_{q,p} is j = p - q),
 and the summed sequence b_p adds alpha(., j) over the admissible window.
 
+The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
+signed int with entry T in a fixed-width slot T, wide enough for a sign
+bit above the bound ||C_p(A)||_inf^n; an iterate adds small multiples of
+rows over the nonzero compound entries, and a row is read back by adding
+half a slot to every slot and splitting its bytes.
+
 When a fibration by the first l coordinates is marked, A must be block
 lower-triangular for the split {0..l-1} | {l..k-1}; the base block then
 drives the base sequences (c_p) and the fiber block the relative ones.
@@ -42,7 +48,7 @@ from .cohomology import (
     kaehler_power,
     mass,
 )
-from .intmat import IntMatrix, det, freeze, identity, mat_mul, submatrix
+from .intmat import IntMatrix, det, freeze, submatrix
 
 
 class NonDominantError(ValueError):
@@ -147,7 +153,16 @@ def _subset_exponent(space: Space, subset: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass]:
-    """Classes of (f^n)^* omega^p for n = 0..n_max, via compound powers."""
+    """Classes of (f^n)^* omega^p for n = 0..n_max, via compound powers.
+
+    Row S of C^n (C = C_p(A)) is kept packed as one signed int holding entry
+    T in slot T.  A slot has W bytes, enough for one sign bit above the bound
+    |(C^n)_{S,T}| <= ||C||_inf^n, the largest absolute row sum being
+    submultiplicative; so no slot overflows for n <= n_max.  One iterate is
+    R_S <- sum of C[S][J] * R_J over the nonzero entries of C.  To read row S,
+    a bias of half a slot is added to every slot, and each slot of the one
+    to_bytes image, less the half, is an entry.
+    """
     if not 0 <= p <= f.dim:
         raise DegreeRangeError(f"degree {p} out of range 0..{f.dim}")
     if n_max < 0:
@@ -157,15 +172,25 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
     omega_p = kaehler_power(space, p).coeffs
     weights = [omega_p[_subset_exponent(space, s)] for s in op.subsets]
     exponents = [_subset_exponent(space, s) for s in op.subsets]
+    m = len(op.subsets)
+    norm = max(sum(abs(x) for x in row) for row in op.matrix)
+    width = (norm**n_max).bit_length() // 8 + 1
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    steps = [[(j, c) for j, c in enumerate(row) if c] for row in op.matrix]
+    rows = [1 << (bits * i) for i in range(m)]
+    slots = range(0, m * width, width)
     out: list[CohClass] = []
-    power = identity(len(op.subsets))
-    for _ in range(n_max + 1):
-        coeffs = {}
-        for ti in range(len(op.subsets)):
-            total = sum(weights[si] * abs(power[si][ti]) for si in range(len(op.subsets)))
-            coeffs[exponents[ti]] = total
-        out.append(CohClass.make(space, p, coeffs))
-        power = mat_mul(op.matrix, power)
+    for n in range(n_max + 1):
+        totals = [0] * m
+        for weight, row in zip(weights, rows):
+            image = (row + bias).to_bytes(m * width, "little")
+            for t, at in enumerate(slots):
+                totals[t] += weight * abs(int.from_bytes(image[at : at + width], "little") - half)
+        out.append(CohClass.make(space, p, dict(zip(exponents, totals))))
+        if n < n_max:
+            rows = [sum(c * rows[j] for j, c in terms) for terms in steps]
     return out
 
 

@@ -327,6 +327,15 @@ class TestErrorHandling:
         )
         assert run(capsys, "degrees", "--input", job)[0] == 1
 
+    def test_float_overflow_is_a_computation_error(self, capsys, tmp_path):
+        # the degree's n-th root exceeds the float range in the estimate
+        job = write_job(tmp_path, "huge.json",
+                        {"type": "monomial", "matrix": [[10**400, 1], [1, 1]], "n_max": 3})
+        code, out, err = run(capsys, "degrees", "--input", job)
+        assert code == 2
+        assert not out
+        assert err.startswith("computation error:")
+
     @pytest.mark.parametrize("field, value", [
         ("matrix", [[True, False], [True, True]]),
         ("fibration_dim", True),

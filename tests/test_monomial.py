@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dyndeg import intmat, monomial
 from dyndeg.cohomology import (
+    CohClass,
     DegreeRangeError,
     FibrationError,
     Space,
@@ -13,6 +15,7 @@ from dyndeg.cohomology import (
     mul,
     pair,
 )
+from dyndeg.degrees import monomial_engine_profile
 from dyndeg.intmat import det, freeze, identity, mat_mul, mat_pow
 from dyndeg.monomial import (
     MonomialMap,
@@ -220,3 +223,85 @@ def test_sequences_match_cut_then_pair_definition(f):
         assert b_p_sequence(f, p, n_max) == [
             sum(mixed(c, q, p) for q in admissible_q(f, p)) for c in classes
         ]
+
+
+@st.composite
+def chain_cases(draw):
+    """(f, p, n_max) over fibred, unfibred and diagonal maps, every p in 0..k.
+
+    A diagonal map's compound is diagonal, so its largest entry meets the
+    slot bound ||C||_inf^n of the packed chain exactly at every n.
+    """
+    kind = draw(st.sampled_from(["fibred", "unfibred", "diagonal"]))
+    if kind == "fibred":
+        f = draw(fibered_maps())
+    else:
+        k = draw(st.integers(1, 4))
+        if kind == "diagonal":
+            diag = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=k, max_size=k))
+            mat = freeze([[d if i == j else 0 for j in range(k)] for i, d in enumerate(diag)])
+        else:
+            mat = draw(matrices(k, 5))
+            assume(det(mat) != 0)
+        f = MonomialMap(mat)
+    return f, draw(st.integers(0, f.dim)), draw(st.integers(0, 9))
+
+
+def _classes_from_powers(f, p, powers):
+    """sum_S w_S |P_{S,T}| h_T for each compound power P, as in the model."""
+    space = f.space
+    subsets = compound(f.matrix, p).subsets
+    exps = [tuple(int(i in s) for i in range(f.dim)) for s in subsets]
+    weights = [kaehler_power(space, p).coeffs[e] for e in exps]
+    return [
+        CohClass.make(space, p, {
+            exps[t]: sum(w * abs(row[t]) for w, row in zip(weights, power))
+            for t in range(len(subsets))
+        })
+        for power in powers
+    ]
+
+
+def _mat_mul_chain(f, p, n_max):
+    """Compound powers by full matrix products, the chain the packed rows replace."""
+    op = compound(f.matrix, p).matrix
+    power, out = identity(len(op)), []
+    for _ in range(n_max + 1):
+        out.append(power)
+        power = mat_mul(op, power)
+    return out
+
+
+@given(chain_cases())
+def test_packed_chain_matches_mat_mul_chain_and_minors(case):
+    f, p, n_max = case
+    classes = pullback_class_sequence(f, p, n_max)
+    assert classes == _classes_from_powers(f, p, _mat_mul_chain(f, p, n_max))
+    minors = [compound(mat_pow(f.matrix, n), p).matrix for n in range(n_max + 1)]
+    assert classes == _classes_from_powers(f, p, minors)
+
+
+@pytest.mark.parametrize("matrix, p, n_max", [
+    (((-3, 0), (1, 2)), 1, 7),     # (C^n)_00 = (-3)^n = -||C||^n at odd n
+    (((-3, 0), (1, 2)), 2, 7),     # 1x1 compound (-6)
+    (((-1,),), 1, 0),
+    (((-255, 0), (0, 1)), 1, 1),   # |entry| = 255 needs a second byte for the sign
+])
+def test_packed_chain_at_the_slot_bound(matrix, p, n_max):
+    f = MonomialMap(matrix)
+    assert pullback_class_sequence(f, p, n_max) == _classes_from_powers(
+        f, p, _mat_mul_chain(f, p, n_max))
+
+
+def test_engine_does_not_multiply_matrices(monkeypatch):
+    f = MonomialMap(((2, 0, 0), (1, -3, 0), (0, 1, 2)), 1)
+    expected = [pullback_class_sequence(f, p, 8) for p in range(4)]
+    profile = monomial_engine_profile(f, 8).to_dict()
+
+    def refuse(*args):
+        raise AssertionError("the monomial engine multiplied full matrices")
+
+    monkeypatch.setattr(intmat, "mat_mul", refuse)
+    monkeypatch.setattr(monomial, "mat_mul", refuse, raising=False)
+    assert [pullback_class_sequence(f, p, 8) for p in range(4)] == expected
+    assert monomial_engine_profile(f, 8).to_dict() == profile
