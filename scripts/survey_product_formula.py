@@ -9,8 +9,9 @@ inheritance) on both routes.  Engine-vs-oracle agreement is reported as
 the worst relative gap across decided gradings.
 
 Exit status mirrors the package CLI: 0 when no check fails, 1 on a
-malformed flag, an invalid --n-max or --tol or when the flags leave no map
-to survey (--draws below 1, --k-max below 2), 3 otherwise.
+malformed flag, an invalid --n-max or --tol, when the flags leave no map
+to survey (--draws below 1, --k-max below 2) or when the --out file cannot
+be written, 3 otherwise.
 """
 
 from __future__ import annotations
@@ -136,9 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     report = survey(args.seed, args.draws, args.k_max, args.n_max, args.tol)
     _print_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 1
         print(f"\nreport written to {args.out}")
     failed = any(
         counts["FAIL"]

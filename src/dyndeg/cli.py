@@ -23,16 +23,20 @@ Job files are JSON::
       "seed": 0, "p_range": [0, 2]         # optional seed / grading range
     }
 
+The map must preserve a marked fibration_dim = l, 0 < l < factors: a block
+lower-triangular matrix, or base components in base variables only.  Every
+command exits 1 otherwise.
+
 Command-line --n-max/--tol/--seed override the job file.  Reports carry no
 timestamps and JSON output is sorted, so a fixed job and seed reproduce
 byte-identical output.
 
-Exit codes: 0 success, 1 invalid job file or arguments, 2 computation
-error (collapse, root-finding failure, degree cap before the requested
-iterate, a degree's n-th root beyond the float range), 3 a verification
-FAIL.  verify-product reports an INCONCLUSIVE check and exits 0; suite
-exits 3 unless every property passes, so an INCONCLUSIVE suite exits 3
-too.
+Exit codes: 0 success, 1 invalid job file, arguments or --out file, 2
+computation error (collapse, root-finding failure, degree cap before the
+requested iterate, a degree's n-th root beyond the float range), 3 a
+verification FAIL.  verify-product reports an INCONCLUSIVE check and
+exits 0; suite exits 3 unless every property passes, so an INCONCLUSIVE
+suite exits 3 too.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import monomial, rational, suite as suite_mod
@@ -283,10 +286,6 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
     job = load_job(args.input, args)
     _require(job.map.fibration_dim is not None,
              "verify-product needs fibration_dim in the job")
-    if job.kind == "rational" and not rational.validate_skew(job.map):
-        raise JobValidationError(
-            "verify-product needs the base components to use base variables only"
-        )
     profiles = _profiles(job)
     default_ps = [0, 1] if job.kind == "rational" else None
     checks: dict[str, dict] = {}
@@ -358,7 +357,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
             if n >= 1:
                 row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
             if n >= 2:
-                row["ratio_est"] = f"{float(Fraction(v, values[n - 1])):.12g}"
+                row["ratio_est"] = f"{v / values[n - 1]:.12g}"
             rows.append(row)
     _emit(args, report, rows, _SEQUENCE_COLUMNS)
     return EXIT_OK
@@ -435,8 +434,11 @@ def _emit(args: argparse.Namespace, report: dict, rows: list[dict],
         if status:
             text += f"overall: {status}\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise JobValidationError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
@@ -45,14 +44,6 @@ _TIE_TOL = 1e-9
 
 def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
-
-
-def _log(value: int) -> float:
-    return math.log(value)
-
-
-def _float_ratio(a: int, b: int) -> float:
-    return float(Fraction(a, b))
 
 
 def window_stride(n_max: int) -> int:
@@ -109,7 +100,7 @@ class DegreeEstimate:
 def _trend_growth(values: Sequence[int], start: int, stop: int) -> float:
     """exp of the least-squares slope of log values[n] over start <= n <= stop."""
     xs = range(start, stop + 1)
-    ys = [_log(values[n]) for n in xs]
+    ys = [math.log(values[n]) for n in xs]
     x_bar = (start + stop) / 2.0
     y_bar = sum(ys) / len(ys)
     denom = sum((x - x_bar) ** 2 for x in xs)
@@ -124,9 +115,9 @@ def estimate(values: Sequence[int], tol: float = DEFAULT_ESTIMATE_TOL) -> Degree
     if any(v <= 0 for v in values):
         raise ValueError("degree values must be positive")
     n_max = len(values) - 1
-    root = math.exp(_log(values[n_max]) / n_max)
-    ratios = [_float_ratio(values[n], values[n - 1]) for n in range(2, n_max + 1)]
-    ratio = ratios[-1] if ratios else _float_ratio(values[1], values[0])
+    root = math.exp(math.log(values[n_max]) / n_max)
+    ratios = [values[n] / values[n - 1] for n in range(2, n_max + 1)]
+    ratio = ratios[-1] if ratios else values[1] / values[0]
     converged = len(ratios) >= 3 and all(
         _rel_diff(a, b) < tol
         for a in ratios[-3:]
@@ -135,7 +126,7 @@ def estimate(values: Sequence[int], tol: float = DEFAULT_ESTIMATE_TOL) -> Degree
     w = window_stride(n_max)
 
     def window_at(m: int) -> float:
-        return math.exp((_log(values[m]) - _log(values[m - w])) / w)
+        return math.exp((math.log(values[m]) - math.log(values[m - w])) / w)
 
     window = window_at(n_max)
     window_tail = [window_at(m) for m in range(max(w, n_max - 2), n_max + 1)]
@@ -521,14 +512,14 @@ def rational_sequences(
     """The grading-1 sequences of a rational map, and f's iterate data.
 
     Each record has kind, p, q and values: the total sequence of f and, for
-    a skew product, the base map's sequence and the relative (fiber) one.
-    A fibred map that is not a skew product gets the total sequence only.
-    Each list stops where the degree cap stopped its own iteration; the
-    iterate data says whether f's did.
+    a fibred f, the base map's sequence and the relative (fiber) one.  A
+    fibred f is a skew product, which its construction checked.  Each list
+    stops where the degree cap stopped its own iteration; the iterate data
+    says whether f's did.
     """
     data = rational.iterate_multidegrees(f, n_max, max_total_degree)
     out = [_record("total", 1, list(data.lambda1))]
-    if f.fibration_dim is not None and rational.validate_skew(f):
+    if f.fibration_dim is not None:
         base_data = rational.iterate_multidegrees(rational.base_map(f), n_max, max_total_degree)
         out.append(_record("base", 1, list(base_data.lambda1)))
         out.append(_record("relative", 1,
@@ -550,6 +541,4 @@ def rational_engine_profile(
     """
     records, _ = rational_sequences(f, n_max, max_total_degree)
     base_dim = None if f.fibration_dim is None else f.fibered_space.base_dim
-    if base_dim is not None and len(records) == 1:
-        raise FibrationError("rational profile needs skew-product shape")
     return profile_from_sequences(records, f.space.dim, base_dim, tol, "rational-engine")

@@ -70,8 +70,8 @@ class MonomialMap:
 
     matrix: integer exponent matrix, det != 0.
     fibration_dim: number l of leading coordinates defining the invariant
-        projection; requires the block-triangular shape checked by
-        validate_fibration and is enforced at construction.
+        projection, 0 < l < k; requires the block-triangular shape checked
+        by validate_fibration and is enforced at construction.
     """
 
     matrix: IntMatrix
@@ -87,6 +87,7 @@ class MonomialMap:
         if self.fibration_dim is not None:
             l = int(self.fibration_dim)
             object.__setattr__(self, "fibration_dim", l)
+            self.space  # Space checks 0 < l < k
             if not validate_fibration(mat, l):
                 raise FibrationError(
                     f"matrix is not block lower-triangular for split at {l}"

@@ -461,9 +461,10 @@ class RationalMapDesc:
     components[i] is the tuple of n_i + 1 polynomials defining the map to
     the i-th factor; construction reduces each tuple to canonical form.
     fibration_dim = l marks the coordinate projection onto the first l
-    factors; the skew-product shape (components 1..l free of fiber
-    variables) is *not* forced here -- validate_skew reports it, and the
-    operations that need the fibration enforce it.
+    factors, 0 < l < num_factors, and the map must preserve it: after
+    reduction the base components 1..l may use base variables only (the
+    skew-product shape validate_skew reports).  Construction raises
+    FibrationError otherwise.
 
     Dominance is not certified at construction; see check_dominance for the
     probabilistic Jacobian test (full rank at one rational point certifies
@@ -497,10 +498,9 @@ class RationalMapDesc:
         if self.fibration_dim is not None:
             l = int(self.fibration_dim)
             object.__setattr__(self, "fibration_dim", l)
-            if not 0 < l < self.space.num_factors:
-                raise FibrationError(
-                    f"fibration must keep between 1 and {self.space.num_factors - 1} factors"
-                )
+            self.space.with_base(l)  # Space checks 0 < l < num_factors
+            if not validate_skew(self):
+                raise FibrationError("map does not have skew-product shape for its fibration")
 
     @cached_property
     def multidegree_matrix(self) -> IntMatrix:
@@ -534,7 +534,8 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
     of g's components, and each monomial of an entry adds its coefficient
     times the product of its powers into one dict.  Raises
     CompositionCollapseError when a whole tuple vanishes (the composition's
-    image meets the indeterminacy locus of f along the image of g).
+    image meets the indeterminacy locus of f along the image of g).  The
+    result keeps f's fibration, and its construction checks it again.
     """
     if f.space.factors != g.space.factors:
         raise ValueError("composition needs self-maps of the same space")
@@ -640,15 +641,9 @@ def validate_skew(f: RationalMapDesc) -> bool:
     return True
 
 
-def _require_skew(f: RationalMapDesc) -> int:
-    if not validate_skew(f):
-        raise FibrationError("map does not have skew-product shape for its fibration")
-    return f.fibration_dim
-
-
 def base_map(f: RationalMapDesc) -> RationalMapDesc:
     """The induced self-map of the base (first l factors) of a skew product."""
-    l = _require_skew(f)
+    l = f.fibered_space.base_factors
     base_space = Space(f.space.factors[:l])
     keep = sum(n + 1 for n in f.space.factors[:l])
     components = tuple(
@@ -673,7 +668,7 @@ def fiber_degree_sequence(
     fiber-variable degrees of the fiber components.  The list stops early
     when the degree cap truncates the iteration.
     """
-    space = f.space.with_base(_require_skew(f))
+    space = f.fibered_space
     data = iterate_multidegrees(f, n_max, max_total_degree)
     rows = (identity(space.num_factors),) + data.multidegrees
     return [alpha(_pullback_class(space, r), 0) for r in rows]

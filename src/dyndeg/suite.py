@@ -234,7 +234,7 @@ def distinctness_inheritance_property(
     for _ in range(draws):
         k, l = shapes[rng.randrange(len(shapes))]
         f, _ = sampling.random_fibered_map(rng, k, l)
-        verdict = distinctness_implication(monomial_oracle_profile(f), 1e-6)
+        verdict = distinctness_implication(monomial_oracle_profile(f), DEFAULT_EXACT_TOL)
         row = verdict.rows[0]
         if row.get("note"):
             vacuous += 1

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,12 +137,6 @@ class TestDegreesCommand:
         profile = payload["profiles"]["engine"]
         assert profile["degrees"][1]["value"] == 1.0  # involution
 
-    def test_non_skew_fibration_exits_two(self, capsys, non_skew_job):
-        code, out, err = run(capsys, "degrees", "--input", non_skew_job)
-        assert code == 2
-        assert out == ""
-        assert "rational profile needs skew-product shape" in err
-
     def test_byte_identical_reports(self, capsys, skew_job):
         code1, out1, _ = run(capsys, "degrees", "--input", skew_job,
                              "--format", "json")
@@ -183,12 +178,6 @@ class TestVerifyProductCommand:
         code, _, err = run(capsys, "verify-product", "--input", job)
         assert code == 1
         assert "fibration" in err
-
-    def test_non_skew_fibration_exits_one(self, capsys, non_skew_job):
-        code, out, err = run(capsys, "verify-product", "--input", non_skew_job)
-        assert code == 1
-        assert out == ""
-        assert "base components to use base variables only" in err
 
     def test_skew_inconclusive_or_pass_exits_zero(self, capsys, skew_job):
         code, out, _ = run(capsys, "verify-product", "--input", skew_job,
@@ -236,14 +225,6 @@ class TestSequenceCommand:
         payload = json.loads(out)
         fibers = next(e for e in payload["sequences"] if e["kind"] == "relative")
         assert fibers["values"][:4] == [1, 2, 4, 8]
-
-    def test_non_skew_fibration_prints_total_only(self, capsys, non_skew_job):
-        code, out, _ = run(capsys, "sequence", "--input", non_skew_job,
-                           "--format", "json")
-        assert code == 0
-        sequences = json.loads(out)["sequences"]
-        assert [(e["kind"], e["p"]) for e in sequences] == [("total", 1)]
-        assert len(sequences[0]["values"]) == 7
 
     @pytest.mark.parametrize("job, argv", [
         ("skew_job", ["--n-max", "12"]),  # the README job, truncated by the degree cap
@@ -326,6 +307,37 @@ class TestErrorHandling:
              "components": [[{"coeffs": [[[1, 0, 0], 1]]}]]},
         )
         assert run(capsys, "degrees", "--input", job)[0] == 1
+
+    @pytest.mark.parametrize("command", ["degrees", "sequence", "verify-product"])
+    def test_non_skew_fibration_exits_one(self, capsys, non_skew_job, command):
+        code, out, err = run(capsys, command, "--input", non_skew_job)
+        assert code == 1
+        assert out == ""
+        assert err == "error: map does not have skew-product shape for its fibration\n"
+
+    @pytest.mark.parametrize("fibration_dim", [0, 2])
+    def test_out_of_range_fibration_same_message(self, capsys, tmp_path, monomial_job,
+                                                 skew_job, fibration_dim):
+        errors = []
+        for path in (monomial_job, skew_job):
+            payload = json.loads(Path(path).read_text())
+            payload["fibration_dim"] = fibration_dim
+            code, out, err = run(capsys, "degrees", "--input",
+                                 write_job(tmp_path, "range.json", payload))
+            assert code == 1
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1] == (
+            f"error: base must use between 1 and 1 factors, got {fibration_dim}\n")
+
+    @pytest.mark.parametrize("target", ["", "missing/report.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_out_exits_one(self, capsys, monomial_job, tmp_path, target):
+        code, out, err = run(capsys, "degrees", "--input", monomial_job,
+                             "--out", str(tmp_path / target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output file: ")
 
     def test_float_overflow_is_a_computation_error(self, capsys, tmp_path):
         # the degree's n-th root exceeds the float range in the estimate

@@ -6,7 +6,7 @@ from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dyndeg import rational
 from dyndeg.cohomology import (
@@ -18,6 +18,7 @@ from dyndeg.cohomology import (
     mul,
     pair,
 )
+from dyndeg.intmat import det
 from dyndeg.monomial import MonomialMap, lambda_sequence
 from dyndeg.rational import (
     CompositionCollapseError,
@@ -401,14 +402,8 @@ class TestSkewProduct:
         f = skew_map()
         assert validate_skew(f)
         assert f.multidegree_matrix == ((3, 0), (1, 2))
-        not_skew = RationalMapDesc(
-            f.space,
-            (f.components[1], f.components[0]),
-            fibration_dim=1,
-        )
-        assert not validate_skew(not_skew)
-        with pytest.raises(FibrationError):
-            base_map(not_skew)
+        with pytest.raises(FibrationError, match="skew-product shape"):
+            RationalMapDesc(f.space, (f.components[1], f.components[0]), fibration_dim=1)
 
     def test_lambda1_closed_form(self):
         data = iterate_multidegrees(skew_map(), n_max=5, max_total_degree=1000)
@@ -576,6 +571,33 @@ class TestMonomialBridge:
         # the coordinate inversion on (P1)^2 swaps homogeneous coordinates
         ident2 = compose(f, f)
         assert ident2.components == identity_map(f.space).components
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_fibration_rule_matches_monomial_map(self, data):
+        # block lower-triangular at l for MonomialMap, base components in
+        # base variables for the rational map: the same matrices pass both
+        k = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        mat = [data.draw(row) for _ in range(k)]
+        if k > 1 and data.draw(st.booleans()):
+            split = data.draw(st.integers(1, k - 1))
+            mat = [[0 if i < split <= j else x for j, x in enumerate(r)]
+                   for i, r in enumerate(mat)]
+        assume(det(mat) != 0)
+        l = data.draw(st.integers(0, k))
+        errors = []
+        for build in (MonomialMap, monomial_to_rational):
+            try:
+                build(mat, l)
+            except FibrationError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        assert (errors[0] is None) == (errors[1] is None)
+        if not 0 < l < k:
+            assert errors[0] is not None
+            assert errors[0] == errors[1]
 
     def test_fibration_carries_over(self, fib_matrix):
         f = monomial_to_rational(fib_matrix, fibration_dim=1)
