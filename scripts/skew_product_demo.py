@@ -27,7 +27,7 @@ from dyndeg import (
     product_formula,
 )
 from dyndeg.cli import JobValidationError, _check_settings, _require
-from dyndeg.degrees import profile_from_sequences, rational_sequences
+from dyndeg.degrees import DEFAULT_ESTIMATE_TOL, profile_from_sequences, rational_sequences
 
 
 def skew_map(base_exp: int) -> RationalMapDesc:
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--cap", type=int, default=3000,
                         help="stop iterating when the total degree exceeds this")
-    parser.add_argument("--tol", type=float, default=5e-2)
+    parser.add_argument("--tol", type=float, default=DEFAULT_ESTIMATE_TOL)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -104,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"max-product prediction  = max(base, fiber) = {expected}")
 
     print()
-    formula = product_formula(profile, tol=args.tol, ps=(1,))
-    for verdict in (formula, lower_bound_check(profile, tol=args.tol, ps=(1,))):
+    formula = product_formula(profile, ps=(1,))
+    for verdict in (formula, lower_bound_check(profile, ps=(1,))):
         print(f"{verdict.name}: {verdict.status.value}")
         for row in verdict.rows:
             print(f"  {row}")

@@ -31,12 +31,12 @@ Command-line --n-max/--tol/--seed override the job file.  Reports carry no
 timestamps and JSON output is sorted, so a fixed job and seed reproduce
 byte-identical output.
 
-Exit codes: 0 success, 1 invalid job file, arguments or --out file, 2
-computation error (collapse, root-finding failure, degree cap before the
-requested iterate, a degree's n-th root beyond the float range), 3 a
-verification FAIL.  verify-product reports an INCONCLUSIVE check and
-exits 0; suite exits 3 unless every property passes, so an INCONCLUSIVE
-suite exits 3 too.
+Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
+before any work), 2 computation error (collapse, root-finding failure,
+degree cap before the requested iterate, a degree's n-th root beyond the
+float range), 3 a verification FAIL.  verify-product reports an
+INCONCLUSIVE check and exits 0; suite exits 3 unless every property
+passes, so an INCONCLUSIVE suite exits 3 too.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from . import monomial, rational, suite as suite_mod
 from .cohomology import Space
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
-    DEFAULT_EXACT_TOL,
     DegreeProfile,
     combine_rows,
     distinctness_implication,
@@ -240,17 +240,13 @@ def _grading_list(job: Job, top: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _profiles(job: Job) -> dict[str, tuple[DegreeProfile, float]]:
+def _profiles(job: Job) -> dict[str, DegreeProfile]:
     """Engine profile always; independent spectral profile when available.
-
-    Each comes with the tolerance its checks use: the job's for estimates,
-    DEFAULT_EXACT_TOL for the exact spectral values.
-    """
+    Each carries the tolerance its checks compare at."""
     if job.kind == "monomial":
         return {
-            "engine": (monomial_engine_profile(job.map, job.n_max, job.tolerance),
-                       job.tolerance),
-            "oracle": (monomial_oracle_profile(job.map), DEFAULT_EXACT_TOL),
+            "engine": monomial_engine_profile(job.map, job.n_max, job.tolerance),
+            "oracle": monomial_oracle_profile(job.map),
         }
     import random as _random
 
@@ -259,9 +255,7 @@ def _profiles(job: Job) -> dict[str, tuple[DegreeProfile, float]]:
         rational.check_dominance(job.map, _random.Random(job.seed))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return {
-        "engine": (rational_engine_profile(job.map, job.n_max, job.tolerance), job.tolerance),
-    }
+    return {"engine": rational_engine_profile(job.map, job.n_max, job.tolerance)}
 
 
 # ---------------------------------------------------------------- commands
@@ -270,12 +264,12 @@ def _profiles(job: Job) -> dict[str, tuple[DegreeProfile, float]]:
 def cmd_degrees(args: argparse.Namespace) -> int:
     job = load_job(args.input, args)
     profiles = _profiles(job)
-    checks = {f"log_concavity_{name}": log_concavity(prof, tol).to_dict()
-              for name, (prof, tol) in profiles.items()}
+    checks = {f"log_concavity_{name}": log_concavity(prof).to_dict()
+              for name, prof in profiles.items()}
     report = {
         "command": "degrees",
         "job": job.raw,
-        "profiles": {name: prof.to_dict() for name, (prof, _) in profiles.items()},
+        "profiles": {name: prof.to_dict() for name, prof in profiles.items()},
         "checks": checks,
     }
     _emit(args, report, _degrees_rows(profiles), _DEGREES_COLUMNS)
@@ -289,21 +283,17 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
     profiles = _profiles(job)
     default_ps = [0, 1] if job.kind == "rational" else None
     checks: dict[str, dict] = {}
-    for name, (prof, tol) in profiles.items():
-        ps = (
-            _grading_list(job, prof.dim)
-            if job.p_range is not None
-            else default_ps
-        )
-        checks[f"product_formula_{name}"] = product_formula(prof, tol, ps).to_dict()
-        checks[f"lower_bound_{name}"] = lower_bound_check(prof, tol, ps).to_dict()
+    for name, prof in profiles.items():
+        ps = _grading_list(job, prof.dim) if job.p_range is not None else default_ps
+        checks[f"product_formula_{name}"] = product_formula(prof, ps).to_dict()
+        checks[f"lower_bound_{name}"] = lower_bound_check(prof, ps).to_dict()
         if job.kind == "monomial":
-            checks[f"distinctness_{name}"] = distinctness_implication(prof, tol).to_dict()
+            checks[f"distinctness_{name}"] = distinctness_implication(prof).to_dict()
     overall = combine_rows("verify-product", list(checks.values())).status.value
     report = {
         "command": "verify-product",
         "job": job.raw,
-        "profiles": {name: prof.to_dict() for name, (prof, _) in profiles.items()},
+        "profiles": {name: prof.to_dict() for name, prof in profiles.items()},
         "checks": checks,
         "status": overall,
     }
@@ -390,9 +380,9 @@ _VERIFY_COLUMNS = ["check", "p", "j", "status", "lhs", "rhs", "rel_error", "argm
 _SUITE_COLUMNS = ["property", "status", "rows"]
 
 
-def _degrees_rows(profiles: dict[str, tuple[DegreeProfile, float]]) -> list[dict]:
+def _degrees_rows(profiles: dict[str, DegreeProfile]) -> list[dict]:
     rows = []
-    for pname, (prof, _) in profiles.items():
+    for pname, prof in profiles.items():
         parts = [("total", prof.degrees)]
         if prof.base is not None:
             parts += [("base", prof.base), ("relative", prof.relative)]
@@ -434,13 +424,23 @@ def _emit(args: argparse.Namespace, report: dict, rows: list[dict],
         if status:
             text += f"overall: {status}\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise JobValidationError(f"cannot write output file: {exc}") from exc
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_out(path: str, text: str | None = None) -> None:
+    """Writes text to the --out file, or with no text only checks that it can
+    be written: append mode never truncates it, and a file the check made is
+    removed again.  An unwritable file is an invalid argument."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a" if text is None else "w", encoding="utf-8") as handle:
+            handle.write(text or "")
+    except OSError as exc:
+        raise JobValidationError(f"cannot write output file: {exc}") from exc
+    if text is None and not existed:
+        os.remove(path)
 
 
 def _table(rows: list[dict], columns: list[str]) -> str:
@@ -507,6 +507,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_JOB
     try:
+        if args.out:  # fail before any work
+            _write_out(args.out)
         return args.func(args)
     except JobValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,10 @@ profile_from_sequences, turns the total, base and relative records into a
 degree profile.  Profiles feed the structural checks: log-concavity, the
 max-product formula over the admissible window, the one-sided lower bound,
 and the distinctness implication from total degrees to factor degrees.
-Checks return PASS / FAIL / INCONCLUSIVE verdicts; a row is only allowed to
-FAIL on converged data, and undecided data downgrades PASS to INCONCLUSIVE.
+Each compares at its profile's tolerance: DEFAULT_EXACT_TOL for spectral
+values, the estimate tolerance for a fold.  Checks return PASS / FAIL /
+INCONCLUSIVE verdicts; a row is only allowed to FAIL on converged data,
+and undecided data downgrades PASS to INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ class DegreeProfile:
     degrees has one entry per grading p = 0..dim (None where the engine
     cannot produce that grading, e.g. middle degrees of general rational
     maps); base and relative are graded over the base dimension and fiber
-    dimension respectively, and are None for unfibered maps.
+    dimension respectively, and are None for unfibered maps.  Every check
+    compares at tolerance, which to_dict leaves out: estimates report theirs.
     """
 
     dim: int
@@ -198,6 +201,7 @@ class DegreeProfile:
     base: tuple[DegreeValue | None, ...] | None = None
     relative: tuple[DegreeValue | None, ...] | None = None
     label: str = ""
+    tolerance: float = DEFAULT_EXACT_TOL
 
     def __post_init__(self) -> None:
         if len(self.degrees) != self.dim + 1:
@@ -269,8 +273,8 @@ def _decided(*values: DegreeValue | None) -> bool:
     return all(v is not None and v.converged for v in values)
 
 
-def log_concavity(profile: DegreeProfile, tol: float = DEFAULT_EXACT_TOL) -> Verdict:
-    """Checks d_p^2 >= d_{p-1} d_{p+1} (1 - tol) across the profile."""
+def log_concavity(profile: DegreeProfile) -> Verdict:
+    """Checks d_p^2 >= d_{p-1} d_{p+1} (1 - tol) at the profile's tolerance."""
     rows = []
     for p in range(1, profile.dim):
         lo, mid, hi = profile.degrees[p - 1], profile.degrees[p], profile.degrees[p + 1]
@@ -281,7 +285,7 @@ def log_concavity(profile: DegreeProfile, tol: float = DEFAULT_EXACT_TOL) -> Ver
             lhs = mid.value * mid.value
             rhs = lo.value * hi.value
             row.update(lhs=lhs, rhs=rhs)
-            row["status"] = "PASS" if lhs >= rhs * (1.0 - tol) else "FAIL"
+            row["status"] = "PASS" if lhs >= rhs * (1.0 - profile.tolerance) else "FAIL"
         rows.append(row)
     return combine_rows("log-concavity", rows)
 
@@ -300,15 +304,14 @@ def distinct_flags(
     return flags
 
 
-def distinctness_implication(
-    profile: DegreeProfile, tol: float = DEFAULT_EXACT_TOL
-) -> Verdict:
-    """All consecutive total degrees distinct must force the same for the factors."""
+def distinctness_implication(profile: DegreeProfile) -> Verdict:
+    """All consecutive total degrees distinct, at the profile's tolerance,
+    must force the same for the factors."""
     if profile.base is None:
         raise FibrationError("distinctness implication needs a fibered profile")
-    total = distinct_flags(profile.degrees, tol)
-    base = distinct_flags(profile.base, tol)
-    relative = distinct_flags(profile.relative, tol)
+    total = distinct_flags(profile.degrees, profile.tolerance)
+    base = distinct_flags(profile.base, profile.tolerance)
+    relative = distinct_flags(profile.relative, profile.tolerance)
     row = {
         "total_distinct": total,
         "base_distinct": base,
@@ -346,16 +349,13 @@ def _fibred_gradings(
     return ps
 
 
-def product_formula(
-    profile: DegreeProfile,
-    tol: float = DEFAULT_EXACT_TOL,
-    ps: Iterable[int] | None = None,
-) -> Verdict:
+def product_formula(profile: DegreeProfile, ps: Iterable[int] | None = None) -> Verdict:
     """Checks d_p = max_j d_j(base) * d_{p-j}(relative) over the admissible j.
 
     Reports per p the two sides, the achieving j (all of them, ties at
-    relative 1e-9) and the relative error.  Rows with missing or
-    unconverged participants are INCONCLUSIVE rather than failed.
+    relative 1e-9) and the relative error, which passes up to the profile's
+    tolerance.  Rows with missing or unconverged participants are
+    INCONCLUSIVE rather than failed.
     """
     rows = []
     for p in _fibred_gradings(profile, ps, "product formula"):
@@ -372,17 +372,13 @@ def product_formula(
         argmax = sorted(j for j, v in products.items() if _rel_diff(v, rhs) <= _TIE_TOL)
         err = _rel_diff(lhs.value, rhs)
         row.update(lhs=lhs.value, rhs=rhs, argmax=argmax, rel_error=err)
-        row["status"] = "PASS" if err <= tol else "FAIL"
+        row["status"] = "PASS" if err <= profile.tolerance else "FAIL"
         rows.append(row)
     return combine_rows("product-formula", rows)
 
 
-def lower_bound_check(
-    profile: DegreeProfile,
-    tol: float = DEFAULT_EXACT_TOL,
-    ps: Iterable[int] | None = None,
-) -> Verdict:
-    """One-sided check d_p >= d_j(base) * d_{p-j}(relative) for each admissible j."""
+def lower_bound_check(profile: DegreeProfile, ps: Iterable[int] | None = None) -> Verdict:
+    """One-sided check d_p >= d_j(base) * d_{p-j}(relative) (1 - tol) per admissible j."""
     rows = []
     for p in _fibred_gradings(profile, ps, "lower bound check"):
         lhs = profile.degrees[p]
@@ -394,7 +390,8 @@ def lower_bound_check(
             else:
                 bound = b.value * r.value
                 row.update(lhs=lhs.value, bound=bound)
-                row["status"] = "PASS" if lhs.value >= bound * (1.0 - tol) else "FAIL"
+                passed = lhs.value >= bound * (1.0 - profile.tolerance)
+                row["status"] = "PASS" if passed else "FAIL"
             rows.append(row)
     return combine_rows("lower-bound", rows)
 
@@ -424,7 +421,7 @@ def profile_from_sequences(
     tol: float,
     label: str,
 ) -> DegreeProfile:
-    """The degree profile a builder's total, base and relative records estimate.
+    """The degree profile a builder's total, base and relative records estimate at tol.
 
     Each (kind, p) record gives its estimated_value.  A grading with no
     record has no degree (None), except grading 0, whose degree is exactly
@@ -440,10 +437,10 @@ def profile_from_sequences(
         )
 
     if base_dim is None:
-        return DegreeProfile(dim, None, estimates("total", dim), label=label)
+        return DegreeProfile(dim, None, estimates("total", dim), label=label, tolerance=tol)
     return DegreeProfile(dim, base_dim, estimates("total", dim),
                          estimates("base", base_dim),
-                         estimates("relative", dim - base_dim), label=label)
+                         estimates("relative", dim - base_dim), label=label, tolerance=tol)
 
 
 def _record(kind: str, p: int, values: list[int], q: int | None = None) -> dict:

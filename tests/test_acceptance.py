@@ -82,7 +82,7 @@ def test_c01_product_formula_exact_on_spectral_oracle(acceptance_log, oracle_poo
     assert len(oracle_pool) >= 100
     failures = []
     for f, prof in oracle_pool:
-        verdict = product_formula(prof, tol=EXACT_TOL)
+        verdict = product_formula(prof)
         if verdict.status is not VerdictStatus.PASS:
             failures.append((f.matrix, verdict.status.value))
     record(acceptance_log, 1,
@@ -93,7 +93,7 @@ def test_c02_engine_estimates_match_formula_and_oracle(acceptance_log, engine_po
     assert len(engine_pool) >= 25
     failures = []
     for f, eng, ora in engine_pool:
-        verdict = product_formula(eng, tol=ESTIMATE_TOL)
+        verdict = product_formula(eng)
         if verdict.status is not VerdictStatus.PASS:
             failures.append((f.matrix, "formula", verdict.status.value))
             continue
@@ -159,10 +159,10 @@ def test_c04_diagonal_mixed_equals_relative(acceptance_log, oracle_pool):
 def test_c05_log_concavity(acceptance_log, oracle_pool, engine_pool):
     failures = []
     for f, prof in oracle_pool:
-        if log_concavity(prof, tol=EXACT_TOL).status is not VerdictStatus.PASS:
+        if log_concavity(prof).status is not VerdictStatus.PASS:
             failures.append(("oracle", f.matrix))
     for f, eng, _ in engine_pool:
-        if log_concavity(eng, tol=ESTIMATE_TOL).status is not VerdictStatus.PASS:
+        if log_concavity(eng).status is not VerdictStatus.PASS:
             failures.append(("engine", f.matrix))
     record(acceptance_log, 5,
            "log-concavity exact on oracle, within 5e-2 on engine profiles",
@@ -249,8 +249,8 @@ def test_c08_rational_engine_classics(acceptance_log):
     if fiber_degree_sequence(skew, 7, cap) != [2 ** i for i in range(8)]:
         failures.append("fiber degrees not 2^n")
     prof = rational_engine_profile(skew, n_max=7, max_total_degree=cap)
-    formula = product_formula(prof, tol=ESTIMATE_TOL, ps=[0, 1])
-    bound = lower_bound_check(prof, tol=ESTIMATE_TOL, ps=[0, 1])
+    formula = product_formula(prof, ps=[0, 1])
+    bound = lower_bound_check(prof, ps=[0, 1])
     if formula.status is not VerdictStatus.PASS:
         failures.append("skew product formula")
     else:

@@ -186,7 +186,7 @@ class TestVerifyProductCommand:
         assert json.loads(out)["status"] in {"PASS", "INCONCLUSIVE"}
 
     def test_fail_exit_code(self, capsys, monomial_job, monkeypatch):
-        def fake(profile, tol=0.0, ps=None):
+        def fake(profile, ps=None):
             return Verdict("product-formula", VerdictStatus.FAIL,
                            ({"p": 1, "status": "FAIL"},))
 
@@ -338,6 +338,33 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot write output file: ")
+
+    def test_unwritable_out_fails_before_any_work(self, capsys, monomial_job, tmp_path,
+                                                  monkeypatch):
+        def never(job):
+            raise AssertionError("profiles built before --out was checked")
+
+        monkeypatch.setattr(cli, "_profiles", never)
+        code, out, err = run(capsys, "degrees", "--input", monomial_job,
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output file: ")
+
+    def test_failed_run_keeps_existing_out(self, capsys, tmp_path):
+        # the --out check must not truncate: the overflow below ends in exit 2
+        job = write_job(tmp_path, "huge.json",
+                        {"type": "monomial", "matrix": [[10**400, 1], [1, 1]], "n_max": 3})
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"earlier report\n")
+        code, _, err = run(capsys, "degrees", "--input", job, "--out", str(target))
+        assert code == 2
+        assert err.startswith("computation error:")
+        assert target.read_bytes() == b"earlier report\n"
+        # nor leave behind a file that was not there
+        code, _, _ = run(capsys, "degrees", "--input", job, "--out", str(tmp_path / "new.txt"))
+        assert code == 2
+        assert not (tmp_path / "new.txt").exists()
 
     def test_float_overflow_is_a_computation_error(self, capsys, tmp_path):
         # the degree's n-th root exceeds the float range in the estimate

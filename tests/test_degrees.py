@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dyndeg.cohomology import FibrationError, Space, alpha, mass
 from dyndeg.degrees import (
+    DEFAULT_EXACT_TOL,
     DegreeProfile,
     DegreeValue,
     VerdictStatus,
@@ -32,7 +33,7 @@ from dyndeg.rational import (
 )
 
 
-def profile_from_floats(degrees, base=None, relative=None, sources=None):
+def profile_from_floats(degrees, base=None, relative=None, tolerance=DEFAULT_EXACT_TOL):
     def wrap(values):
         if values is None:
             return None
@@ -40,7 +41,8 @@ def profile_from_floats(degrees, base=None, relative=None, sources=None):
 
     dim = len(degrees) - 1
     base_dim = None if base is None else len(base) - 1
-    return DegreeProfile(dim, base_dim, wrap(degrees), wrap(base), wrap(relative))
+    return DegreeProfile(dim, base_dim, wrap(degrees), wrap(base), wrap(relative),
+                         tolerance=tolerance)
 
 
 class TestDegreeSequence:
@@ -209,6 +211,33 @@ class TestDistinctness:
         assert "vacuous" in verdict.rows[0]["note"]
 
 
+class TestProfileTolerance:
+    """Every check compares at the tolerance its profile carries."""
+
+    # each discrepancy is about 1e-4: inside 1e-2, outside the exact 1e-9
+    @pytest.mark.parametrize("check, degrees, base, relative", [
+        pytest.param(log_concavity, [1.0, 2.0, 4.0004], None, None, id="log-concavity"),
+        pytest.param(product_formula, [1.0, 3.0003, 6.0], [1.0, 3.0], [1.0, 2.0],
+                     id="product-formula"),
+        pytest.param(lower_bound_check, [1.0, 2.9997, 6.0], [1.0, 3.0], [1.0, 2.0],
+                     id="lower-bound"),
+        # distinct totals at 1e-9 meet equal base degrees; at 1e-2 the
+        # totals are not all distinct and the implication holds vacuously
+        pytest.param(distinctness_implication, [1.0, 1.0001, 2.0], [1.0, 1.0], [1.0, 2.0],
+                     id="distinctness"),
+    ])
+    def test_passes_loose_and_fails_exact(self, check, degrees, base, relative):
+        loose = profile_from_floats(degrees, base, relative, tolerance=1e-2)
+        assert check(loose).status is VerdictStatus.PASS
+        assert check(profile_from_floats(degrees, base, relative)).status is VerdictStatus.FAIL
+
+    def test_builders_set_it(self, fib_matrix):
+        f = MonomialMap(fib_matrix, fibration_dim=1)
+        assert monomial_oracle_profile(f).tolerance == DEFAULT_EXACT_TOL
+        assert monomial_engine_profile(f, 12, 1e-3).tolerance == 1e-3
+        assert rational_engine_profile(_skew(), 6, 2e-2).tolerance == 2e-2
+
+
 class TestCombineRows:
     def test_fail_dominates(self):
         v = combine_rows("x", [{"status": "PASS"}, {"status": "FAIL"},
@@ -282,7 +311,7 @@ class TestRationalEngineProfile:
 
     def test_product_formula_on_estimates(self):
         prof = rational_engine_profile(_skew(), n_max=6, max_total_degree=3000)
-        verdict = product_formula(prof, tol=5e-2, ps=[0, 1])
+        verdict = product_formula(prof, ps=[0, 1])
         assert verdict.status is VerdictStatus.PASS
         row = next(r for r in verdict.rows if r["p"] == 1)
         assert row["argmax"] == [1]  # base expansion dominates the fiber

@@ -44,7 +44,7 @@ def _run(argv):
     pytest.param(["skew_product_demo.py", "--cap", "2"], 0, id="demo-cap-2"),
     pytest.param(["skew_product_demo.py", "--cap", "0"], 1, id="demo-cap-0"),
     pytest.param(["survey_product_formula.py", "--draws", "0"], 1, id="survey-draws-0"),
-    # the report is written after the survey: a directory cannot take it
+    # --out is checked before the survey: a directory cannot take the report
     pytest.param(["survey_product_formula.py", "--draws", "1", "--k-max", "2", "--out", "."],
                  1, id="survey-out-dir"),
     pytest.param(["skew_product_demo.py", "--base-exp", "0"], 1, id="demo-base-exp-0"),
@@ -54,6 +54,7 @@ def test_script_exits_zero(argv, code):
     assert result.returncode == code, result.stderr
     if code == 1:
         assert result.stderr.startswith("error: ")
+        assert not result.stdout
     else:
         assert result.stdout
 
