@@ -5,11 +5,14 @@ Three deliberately separate routes live here:
 * eigen_degrees: the spectral route.  The characteristic polynomial of the
   exponent matrix is computed exactly over the integers (Faddeev-LeVerrier,
   every division asserted exact); its constant term gives the determinant.
-  Each square-free factor's roots are first approximated by Aberth
-  iteration in complex doubles, then polished to 60 digits by mpmath's
-  polyroots from that start; if the start is unusable or the polish does
-  not converge, polyroots runs once more from its own cold start.  Root
-  moduli are memoized by polynomial.  The degree-p reference value is the
+  It is split into square-free factors in pure-Python integer arithmetic:
+  a constant gcd of p and p' mod 2^61 - 1 certifies the usual square-free
+  case, and Yun's algorithm splits the rest exactly over Z.  Each
+  square-free factor's roots are first approximated by Aberth iteration in
+  complex doubles, then polished to 60 digits by mpmath's polyroots from
+  that start; if the start is unusable or the polish does not converge,
+  polyroots runs once more from its own cold start.  Root moduli are
+  memoized by polynomial.  The degree-p reference value is the
   product of the p largest root moduli.  Nothing is shared with the
   compound-matrix engine beyond the input matrix.
 
@@ -32,11 +35,11 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath as mp
-import sympy
 
 from .cohomology import CohClass, Space, unit_class
 from .intmat import freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
+from .rational import _MODULUS, _gcd_mod_p, _trim
 
 
 class RootFindingError(RuntimeError):
@@ -162,27 +165,109 @@ def _factor_roots(coeffs: list[int]) -> list:
         ) from exc
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs divided by their content, signed so the leading one is positive."""
+    content = math.gcd(*coeffs)
+    if coeffs[0] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _derivative(coeffs: list[int]) -> list[int]:
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + a, [0] * (n - len(b)) + b
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a over Z."""
+    rem, quotient = a[:], []
+    for i in range(len(a) - len(b) + 1):
+        q, r = divmod(rem[i], b[0])
+        if r:
+            raise AssertionError("polynomial division was not exact")
+        quotient.append(q)
+        for j in range(1, len(b)):
+            rem[i + j] -= q * b[j]
+    if any(rem[len(quotient):]):
+        raise AssertionError("polynomial division was not exact")
+    return quotient
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z of two nonzero integer polynomials (primitive PRS)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        rem = a
+        while len(rem) >= len(b):  # pseudo-division by b
+            q = rem[0]
+            rem = [b[0] * x for x in rem[1:]]
+            for j in range(1, len(b)):
+                rem[j - 1] -= q * b[j]
+            rem = _trim(rem)
+        a, b = b, _primitive(rem) if rem else rem
+    return a
+
+
+def _square_free_split(poly: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Square-free factors of an integer polynomial, with multiplicity.
+
+    Coefficients run from the highest degree down, the first one nonzero.
+    Each factor is primitive with a positive leading coefficient, at most
+    one per multiplicity, in increasing multiplicity; the content and
+    constant factors are dropped.
+    A constant gcd of p and p' mod 2^61 - 1, where the prime does not
+    divide lc(p), certifies p square-free: a repeated factor g would keep
+    its degree mod p and divide both images.  Otherwise Yun's algorithm
+    (SYMSAC 1976) splits p exactly over Z.
+    """
+    f = _primitive(list(poly))
+    if len(f) < 2:
+        return []
+    df = _derivative(f)
+    if f[0] % _MODULUS and len(_gcd_mod_p([c % _MODULUS for c in f],
+                                          [c % _MODULUS for c in df])) == 1:
+        return [(f, 1)]
+    g = _gcd(f, df)
+    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    factors = []
+    multiplicity = 1
+    while True:
+        d = _sub(c, _derivative(b))
+        if not d:
+            factors.append((b, multiplicity))
+            return factors
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, multiplicity))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        multiplicity += 1
+
+
 @lru_cache(maxsize=None)
 def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     """All complex root moduli of an integer polynomial, with multiplicity.
 
     Multiple roots break simultaneous iteration, so the polynomial is first
-    split into squarefree factors exactly over the integers; each factor
-    then has distinct roots.  Its roots are polished to 60 digits from a
-    double-precision Aberth start (_factor_roots), so each modulus is a
-    60-digit root rounded to a float.  The result is memoized by
-    polynomial: a matrix, its transpose and a repeated block share one
-    root-finding.
+    split into square-free factors exactly over the integers
+    (_square_free_split: a mod-p certificate for the usual square-free
+    case, Yun's algorithm otherwise); each factor then has distinct roots.
+    Its roots are polished to 60 digits from a double-precision Aberth
+    start (_factor_roots), so each modulus is a 60-digit root rounded to a
+    float.  The result is memoized by polynomial: a matrix, its transpose
+    and a repeated block share one root-finding.
     """
-    x = sympy.Symbol("x")
-    _, factors = sympy.Poly(list(poly), x, domain=sympy.ZZ).sqf_list()
     moduli: list[float] = []
     with mp.workdps(_ORACLE_DPS):
-        for factor, multiplicity in factors:
-            coeffs = [int(c) for c in factor.all_coeffs()]
-            if len(coeffs) < 2:
-                continue
-            for r in _factor_roots(coeffs):
+        for factor, multiplicity in _square_free_split(poly):
+            for r in _factor_roots(factor):
                 moduli.extend([float(abs(r))] * multiplicity)
     return tuple(moduli)
 

@@ -19,7 +19,8 @@ leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
 never certifies a tuple with a common factor; a coprime tuple fails it only
 at an unlucky point.  Only an uncertified tuple gets an exact multivariate
 gcd over Z, in sympy's sparse ring, so the output never depends on the
-point.  Large polynomial products use signed Kronecker packing: one big
+point; sympy is imported at that first gcd, never for a certified tuple.
+Large polynomial products use signed Kronecker packing: one big
 integer per operand and one product; everything stays exact.
 
 Coordinates and charts: within factor i the variables are
@@ -36,9 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
-
-import sympy
-from sympy.polys.rings import ring
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, freeze, identity
@@ -71,8 +69,12 @@ def num_variables(space: Space) -> int:
     return sum(n + 1 for n in space.factors)
 
 
+# sympy is imported on first use: only a tuple the mod-p certificate leaves
+# uncertified needs it, and importing it costs far more than a typical job.
 @lru_cache(maxsize=None)
 def _sympy_gens(space: Space) -> tuple:
+    import sympy
+
     names = []
     for i, n in enumerate(space.factors):
         names.extend(f"x{i}_{j}" for j in range(n + 1))
@@ -81,6 +83,9 @@ def _sympy_gens(space: Space) -> tuple:
 
 @lru_cache(maxsize=None)
 def _sparse_ring(space: Space):
+    import sympy
+    from sympy.polys.rings import ring
+
     return ring(_sympy_gens(space), sympy.ZZ)[0]
 
 

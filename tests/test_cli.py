@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -477,3 +480,62 @@ class TestErrorHandling:
         code, out, err = run(capsys, "degrees", "--input", job)
         assert code == 0
         assert "dominan" in err.lower()
+
+
+# Runs in a fresh interpreter: monomial and certified-coprime jobs, then a
+# tuple with the planted common factor x0 + 2 x1, which needs the exact gcd.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from dyndeg import cli
+
+monomial, coprime = sys.argv[1:]
+runs = [[command, "--input", monomial] for command in ("degrees", "verify-product", "sequence")]
+runs += [["suite", "--n-max", "5"], ["sequence", "--input", coprime]]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+after_jobs = "sympy" in sys.modules
+
+from dyndeg.cohomology import Space
+from dyndeg.rational import MultiHomPoly, reduce_tuple
+
+p1 = Space((1,))
+g = MultiHomPoly.make(p1, {(1, 0): 1, (0, 1): 2})
+p = MultiHomPoly.make(p1, {(2, 0): 1, (0, 2): 3})
+q = MultiHomPoly.make(p1, {(2, 0): 1, (1, 1): 1, (0, 2): -1})
+reduced = reduce_tuple(p1, (g * p, g * q)) == (p, q)
+print(json.dumps({"codes": codes, "sympy_after_jobs": after_jobs,
+                  "reduced": reduced, "sympy_after_gcd": "sympy" in sys.modules}))
+"""
+
+
+class TestImportHygiene:
+    def test_sympy_is_imported_only_for_the_exact_gcd(self, tmp_path):
+        monomial = write_job(
+            tmp_path, "readme.json",
+            {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1,
+             "n_max": 12},
+        )
+        # the map of P^1 whose iterates the mod-p certificate proves coprime
+        coprime = write_job(
+            tmp_path, "coprime.json",
+            {"type": "rational", "factors": [1], "n_max": 5, "components": [[
+                {"coeffs": [[[2, 0], 1], [[0, 2], 3]]},
+                {"coeffs": [[[2, 0], 1], [[1, 1], 1], [[0, 2], -1]]},
+            ]]},
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, monomial, coprime],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "codes": [0, 0, 0, 3, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
+            "sympy_after_jobs": False,
+            "reduced": True,
+            "sympy_after_gcd": True,
+        }

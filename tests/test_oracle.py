@@ -121,16 +121,18 @@ def _poly_mul(a, b):
     return out
 
 
-def _cold_moduli(poly):
-    """The cold-start route: mpmath's own starting points on every factor."""
+def _sympy_split(poly):
+    """The reference split: sympy's square-free decomposition over ZZ."""
     x = sympy.Symbol("x")
     _, factors = sympy.Poly(list(poly), x, domain=sympy.ZZ).sqf_list()
+    return sorted(([int(c) for c in f.all_coeffs()], m) for f, m in factors)
+
+
+def _cold_moduli(poly):
+    """The cold-start route: sympy's split, mpmath's own starting points."""
     moduli = []
     with mp.workdps(60):
-        for factor, multiplicity in factors:
-            coeffs = [int(c) for c in factor.all_coeffs()]
-            if len(coeffs) < 2:
-                continue
+        for coeffs, multiplicity in _sympy_split(poly):
             for r in mp.polyroots(coeffs, maxsteps=600, extraprec=200):
                 moduli.extend([float(abs(r))] * multiplicity)
     return sorted(moduli)
@@ -253,6 +255,46 @@ class TestRootModuli:
                             lambda poly: tuple(m * (1 + 1e-6) for m in real(poly)))
         with pytest.raises(RootFindingError, match="misses"):
             eigen_degrees(golden_matrix)
+
+
+@st.composite
+def factored_polys(draw):
+    """Degree <= 8, any content and sign, zero roots, small factors up to cubes."""
+    poly = [draw(st.integers(-12, 12).filter(bool))] + [0] * draw(st.integers(0, 2))
+    for q, power in draw(st.lists(st.tuples(_small_factors, st.integers(1, 3)),
+                                  min_size=1, max_size=4)):
+        if len(poly) - 1 + power * (len(q) - 1) <= 8:
+            for _ in range(power):
+                poly = _poly_mul(poly, q)
+    return tuple(poly)
+
+
+@st.composite
+def block_triangular_charpolys(draw):
+    """Characteristic polynomials of [[A, 0], [C, B]], often with B = A."""
+    k = draw(st.integers(1, 4))
+    a = draw(matrices(k, 3))
+    b = a if draw(st.booleans()) else draw(matrices(draw(st.integers(1, 8 - k)), 3))
+    c = draw(matrices(max(k, len(b)), 3))
+    top = [list(row) + [0] * len(b) for row in a]
+    bottom = [list(c[i][:k]) + list(row) for i, row in enumerate(b)]
+    return charpoly(top + bottom)
+
+
+class TestSquareFreeSplit:
+    @settings(max_examples=300)
+    @given(st.one_of(factored_polys(), block_triangular_charpolys()))
+    def test_matches_sympy_sqf_list(self, poly):
+        assert sorted(oracle._square_free_split(poly)) == _sympy_split(poly)
+
+    def test_hand_cases(self):
+        # -2 x^2 (x - 1)^3 (2x + 3): content, sign, a zero root and a cube
+        poly = [-2, 0, 0]
+        for q in ([1, -1], [1, -1], [1, -1], [2, 3]):
+            poly = _poly_mul(poly, q)
+        assert oracle._square_free_split(poly) == [([2, 3], 1), ([1, 0], 2), ([1, -1], 3)]
+        assert oracle._square_free_split((1, -3, 1)) == [([1, -3, 1], 1)]
+        assert oracle._square_free_split((5,)) == []
 
 
 class TestRingExpandOracle:
