@@ -5,15 +5,13 @@ Three deliberately separate routes live here:
 * eigen_degrees: the spectral route.  The characteristic polynomial of the
   exponent matrix is computed exactly over the integers (Faddeev-LeVerrier,
   every division asserted exact); its constant term gives the determinant.
-  It is split into square-free factors in pure-Python integer arithmetic:
-  a constant gcd of p and p' mod 2^61 - 1 certifies the usual square-free
-  case, and Yun's algorithm splits the rest exactly over Z.  Each
-  square-free factor's roots are first approximated by Aberth iteration in
-  complex doubles, then polished to 60 digits by mpmath's polyroots from
-  that start; if the start is unusable or the polish does not converge,
-  polyroots runs once more from its own cold start.  Root moduli are
-  memoized by polynomial.  The degree-p reference value is the
-  product of the p largest root moduli.  Nothing is shared with the
+  It is split into square-free factors exactly over Z by Yun's algorithm,
+  in pure-Python integer arithmetic.  Each square-free factor's roots are
+  first approximated by Aberth iteration in complex doubles, then polished
+  to 60 digits by mpmath's polyroots from that start; if the start is
+  unusable or the polish does not converge, polyroots runs once more from
+  its own cold start.  Root moduli are memoized by polynomial.  The
+  degree-p reference value is the product of the p largest root moduli.  Nothing is shared with the
   compound-matrix engine beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
@@ -39,7 +37,6 @@ import mpmath as mp
 from .cohomology import CohClass, Space, unit_class
 from .intmat import freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
-from .rational import _MODULUS, _gcd_mod_p, _trim
 
 
 class RootFindingError(RuntimeError):
@@ -173,6 +170,11 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return [c // content for c in coeffs]
 
 
+def _trim(coeffs: list[int]) -> list[int]:
+    lead = next((i for i, x in enumerate(coeffs) if x), len(coeffs))
+    return coeffs[lead:]
+
+
 def _derivative(coeffs: list[int]) -> list[int]:
     n = len(coeffs) - 1
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
@@ -223,18 +225,13 @@ def _square_free_split(poly: Sequence[int]) -> list[tuple[list[int], int]]:
     Each factor is primitive with a positive leading coefficient, at most
     one per multiplicity, in increasing multiplicity; the content and
     constant factors are dropped.
-    A constant gcd of p and p' mod 2^61 - 1, where the prime does not
-    divide lc(p), certifies p square-free: a repeated factor g would keep
-    its degree mod p and divide both images.  Otherwise Yun's algorithm
-    (SYMSAC 1976) splits p exactly over Z.
+    Yun's algorithm (SYMSAC 1976), exactly over Z.  A square-free p costs
+    one gcd: gcd(p, p') is 1, so d = p' - p' vanishes at once.
     """
     f = _primitive(list(poly))
     if len(f) < 2:
         return []
     df = _derivative(f)
-    if f[0] % _MODULUS and len(_gcd_mod_p([c % _MODULUS for c in f],
-                                          [c % _MODULUS for c in df])) == 1:
-        return [(f, 1)]
     g = _gcd(f, df)
     b, c = _exact_quotient(f, g), _exact_quotient(df, g)
     factors = []
@@ -256,9 +253,8 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     """All complex root moduli of an integer polynomial, with multiplicity.
 
     Multiple roots break simultaneous iteration, so the polynomial is first
-    split into square-free factors exactly over the integers
-    (_square_free_split: a mod-p certificate for the usual square-free
-    case, Yun's algorithm otherwise); each factor then has distinct roots.
+    split into square-free factors exactly over the integers by Yun's
+    algorithm (_square_free_split); each factor then has distinct roots.
     Its roots are polished to 60 digits from a double-precision Aberth
     start (_factor_roots), so each modulus is a 60-digit root rounded to a
     float.  The result is memoized by polynomial: a matrix, its transpose
