@@ -20,8 +20,9 @@ never certifies a tuple with a common factor; a coprime tuple fails it only
 at an unlucky point.  Only an uncertified tuple gets an exact multivariate
 gcd over Z, in sympy's sparse ring, so the output never depends on the
 point; sympy is imported at that first gcd, never for a certified tuple.
-Large polynomial products use signed Kronecker packing: one big
-integer per operand and one product; everything stays exact.
+Large polynomial products use signed Kronecker packing into decimal
+slots: one big decimal integer per operand and one exact product, taken
+by libmpdec; everything stays exact.
 
 Coordinates and charts: within factor i the variables are
 x_{i,0}, ..., x_{i,n_i}; affine charts set x_{i,0} = 1, so on (P^1)^k the
@@ -30,6 +31,7 @@ affine value of coordinate i is component_i[1] / component_i[0].
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import warnings
@@ -45,6 +47,14 @@ DEFAULT_MAX_TOTAL_DEGREE = 400
 
 # above this many cross terms, multiplication goes through Kronecker packing
 _KRON_THRESHOLD = 60_000
+
+# Kronecker products are exact decimal integers: this context never rounds
+# and traps if it would.  Only its methods are used, since the arithmetic
+# operators run in the calling thread's own context.
+_CTX = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded],
+)
 
 
 class CompositionCollapseError(ValueError):
@@ -241,17 +251,23 @@ def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
 
 
 def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
-    """Exact multiplication via Kronecker packing into big integers.
+    """Exact multiplication via Kronecker packing into big decimal integers.
 
     The last variable of each factor block is left out of the packing --
     multihomogeneity fixes its exponent from the block degree -- so the
     packed size is governed by the product multidegree rather than the
-    full exponent box.  Each operand packs to one signed integer (its
-    positive part minus its negative part) and one product is taken, a
-    squaring when both operands are the same object.  A slot holds more
-    than twice the largest product coefficient's magnitude, so adding half
-    a slot to every slot makes them all nonnegative without carries; each
-    coefficient is then its slot minus that half (Harvey 2009).
+    full exponent box.  A slot is `width` decimal digits, and 10**width
+    exceeds twice the largest product coefficient's magnitude.  Each
+    operand packs to one signed decimal (its positive part minus its
+    negative part) and libmpdec takes one product, a squaring when both
+    operands are the same object; at these sizes it multiplies by a
+    number-theoretic transform.  The slots of the product's magnitude are
+    read back as balanced digits, least significant first: a slot value
+    (with the carry into it) of at least half of 10**width is a negative
+    coefficient and carries one into the next slot; a negative product
+    negates every coefficient (Harvey 2009).  Every int <-> digit
+    conversion goes through decimal, which int_max_str_digits does not
+    limit.
     """
     space = p1.space
     layout = variable_layout(space)
@@ -269,26 +285,41 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     c1max = max(abs(c) for _, c in p1.terms)
     c2max = max(abs(c) for _, c in p2.terms)
     bound = min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2 + 1
-    slot_bytes = (bound.bit_length() + 7) // 8
-    size = slots * slot_bytes
-    half = 1 << (8 * slot_bytes - 1)
+    width = max(1, bound.bit_length() * 3 // 10)  # never above the least width
+    while 10**width <= bound:
+        width += 1
+    base = 10**width
+    half = base // 2
+    zero = "0" * width
 
     def pack(terms):
-        parts = (bytearray(size), bytearray(size))  # positive, negative
-        for e, c in terms:
-            off = sum(e[i] * s for i, s in zip(keep, strides)) * slot_bytes
-            parts[c < 0][off : off + slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
-        return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
+        offsets = [sum(e[i] * s for i, s in zip(keep, strides)) for e, _ in terms]
+        top = max(offsets)
+        parts = ([zero] * (top + 1), [zero] * (top + 1))  # positive, negative
+        for off, (_, c) in zip(offsets, terms):
+            parts[c < 0][top - off] = str(_CTX.create_decimal(abs(c))).zfill(width)
+        positive, negative = (_CTX.create_decimal("".join(part)) for part in parts)
+        return _CTX.subtract(positive, negative)
 
     a = pack(p1.terms)
     b = a if p2 is p1 else pack(p2.terms)
-    bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
-    raw = (a * b + bias).to_bytes(size, "little")
+    # zfill keeps a minus sign in front, so slot idx ends at digit
+    # (slots - idx) * width + 1 either way
+    digits = str(_CTX.multiply(a, b)).zfill(slots * width + 1)
+    del a, b
+    sign = -1 if digits[0] == "-" else 1
     acc_terms: dict[tuple[int, ...], int] = {}
     nvars = num_variables(space)
+    carry = 0
     for idx in range(slots):
-        off = idx * slot_bytes
-        c = int.from_bytes(raw[off : off + slot_bytes], "little") - half
+        end = (slots - idx) * width + 1
+        chunk = digits[end - width : end]
+        if chunk == zero and not carry:
+            continue
+        c = int(_CTX.create_decimal(chunk)) + carry
+        carry = c >= half
+        if carry:
+            c -= base
         if c == 0:
             continue
         e = [0] * nvars
@@ -297,7 +328,7 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
             e[i], rem = divmod(rem, strides[j])
         for f, (start, count) in enumerate(layout):
             e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
-        acc_terms[tuple(e)] = c
+        acc_terms[tuple(e)] = sign * c
     return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
 
 

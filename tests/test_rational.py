@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import random
+import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -114,6 +116,57 @@ def _draw_poly(data, space, multidegree, bound=9):
     return poly(space, dict(zip(picked, coeffs)))
 
 
+def _bytes_kron_mul(p1, p2):
+    """Reference for _kron_mul: Kronecker packing into byte slots of one
+    big int per operand, multiplied by int; a bias of half a slot is added
+    to every slot of the product and removed again when each slot is read."""
+    space = p1.space
+    layout = variable_layout(space)
+    prod_deg = [a + b for a, b in zip(p1.multidegree, p2.multidegree)]
+    keep = [i for start, count in layout for i in range(start, start + count - 1)]
+    max_sum = [
+        max(e[i] for e, _ in p1.terms) + max(e[i] for e, _ in p2.terms) for i in keep
+    ]
+    strides = [0] * len(keep)
+    acc = 1
+    for j in range(len(keep) - 1, -1, -1):
+        strides[j] = acc
+        acc *= max_sum[j] + 1
+    slots = acc
+    c1max = max(abs(c) for _, c in p1.terms)
+    c2max = max(abs(c) for _, c in p2.terms)
+    bound = min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2 + 1
+    slot_bytes = (bound.bit_length() + 7) // 8
+    size = slots * slot_bytes
+    half = 1 << (8 * slot_bytes - 1)
+
+    def pack(terms):
+        parts = (bytearray(size), bytearray(size))  # positive, negative
+        for e, c in terms:
+            off = sum(e[i] * s for i, s in zip(keep, strides)) * slot_bytes
+            parts[c < 0][off : off + slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
+        return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
+
+    a = pack(p1.terms)
+    b = a if p2 is p1 else pack(p2.terms)
+    bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
+    raw = (a * b + bias).to_bytes(size, "little")
+    acc_terms = {}
+    for idx in range(slots):
+        off = idx * slot_bytes
+        c = int.from_bytes(raw[off : off + slot_bytes], "little") - half
+        if c == 0:
+            continue
+        e = [0] * num_variables(space)
+        rem = idx
+        for j, i in enumerate(keep):
+            e[i], rem = divmod(rem, strides[j])
+        for f, (start, count) in enumerate(layout):
+            e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
+        acc_terms[tuple(e)] = c
+    return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
+
+
 def _draw_factor(data, space, multidegree):
     # at least two terms, so the factor is not a monomial the strip removes
     exps = data.draw(st.permutations(list(_monomials(space, multidegree))))
@@ -200,14 +253,64 @@ class TestMultiHomPoly:
 
     @given(st.data())
     def test_kronecker_multiplication_matches_dict(self, data):
-        space = data.draw(st.sampled_from([Space((1, 1)), P2, Space((1, 2))]))
+        space = data.draw(st.sampled_from(
+            [Space((1, 1)), P2, Space((1, 2)), Space((1, 1, 1))]))
         bound = data.draw(st.sampled_from([9, 2**100]))
-        degs1 = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
-        degs2 = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
+        degs1 = tuple(data.draw(st.integers(0, 6)) for _ in space.factors)
+        degs2 = tuple(data.draw(st.integers(0, 6)) for _ in space.factors)
         p1 = _draw_poly(data, space, degs1, bound)
-        # the same object on both sides takes the squaring path
-        p2 = p1 if data.draw(st.booleans()) else _draw_poly(data, space, degs2, bound)
+        shape = data.draw(st.sampled_from(["square", "other", "negated", "difference"]))
+        if shape == "square":
+            # the same object on both sides takes the squaring path
+            p2 = p1
+        elif shape == "other":
+            p2 = _draw_poly(data, space, degs2, bound)
+        elif shape == "negated":
+            # -(p1^2): the top slot is negative
+            p2 = p1.scale(-1)
+        else:
+            # (p + q)(p - q) = p^2 - q^2 cancels whole slots
+            q = _draw_poly(data, space, degs1, bound)
+            p1, p2 = p1 + q, p1 + q.scale(-1)
+            assume(not p1.is_zero and not p2.is_zero)
         assert _kron_mul(p1, p2).terms == _dict_mul(p1, p2).terms
+        assert _kron_mul(p1, p2).terms == _bytes_kron_mul(p1, p2).terms
+
+    def test_kronecker_ignores_int_max_str_digits(self):
+        # ~700-digit coefficients make slots of ~1,400 digits; int <-> str
+        # refuses both above the limit, so the conversions must not use it
+        space = Space((1, 1))
+        rng = random.Random(41)
+        monomials = list(_monomials(space, (4, 7)))
+        p, q = (
+            poly(space, {e: rng.randrange(-10**700, 10**700) for e in monomials})
+            for _ in range(2)
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert _kron_mul(p, p).terms == _dict_mul(p, p).terms
+            assert _kron_mul(p, q).terms == _dict_mul(p, q).terms
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_kronecker_ignores_the_thread_decimal_context(self):
+        space = Space((1, 1))
+        rng = random.Random(5)
+        monomials = list(_monomials(space, (5, 6)))
+        p, q = (
+            poly(space, {e: rng.randrange(-10**6, 10**6) for e in monomials})
+            for _ in range(2)
+        )
+        before = repr(decimal.getcontext())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            narrow = repr(ctx)
+            assert _kron_mul(p, p).terms == _dict_mul(p, p).terms
+            assert _kron_mul(p, q).terms == _dict_mul(p, q).terms
+            # no operation ran in this context: no flag was raised in it
+            assert repr(decimal.getcontext()) == narrow
+        assert repr(decimal.getcontext()) == before
 
     @given(st.data())
     def test_multiplication_respects_multidegrees(self, data):
