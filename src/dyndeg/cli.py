@@ -32,11 +32,13 @@ timestamps and JSON output is sorted, so a fixed job and seed reproduce
 byte-identical output.
 
 Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
-before any work), 2 computation error (collapse, root-finding failure,
-degree cap before the requested iterate, a degree's n-th root beyond the
-float range), 3 a verification FAIL.  verify-product reports an
-INCONCLUSIVE check and exits 0; suite exits 3 unless every property
-passes, so an INCONCLUSIVE suite exits 3 too.
+before any work), 2 computation error (collapse, root-finding failure, a
+degree's n-th root beyond the float range), 3 a verification FAIL.
+verify-product reports an INCONCLUSIVE check and exits 0; suite exits 3
+unless every property passes, so an INCONCLUSIVE suite exits 3 too.  A
+rational iteration stopped by the degree cap before the requested iterate
+still exits 0: only sequence reports mark it (truncated), while degrees
+and verify-product estimate from the shorter prefix.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ def _check_settings(n_max: Any, tol: Any) -> None:
 def _parse_poly(space: Space, entry: Any, where: str) -> rational.MultiHomPoly:
     _require(isinstance(entry, dict) and isinstance(entry.get("coeffs"), list),
              f"{where}: each polynomial needs a 'coeffs' list")
-    coeffs = {}
     for pair_ in entry["coeffs"]:
         _require(
             isinstance(pair_, (list, tuple)) and len(pair_) == 2,
@@ -125,9 +126,8 @@ def _parse_poly(space: Space, entry: Any, where: str) -> rational.MultiHomPoly:
             f"{where}: exponent vectors must be lists of integers",
         )
         _require(_is_int(value), f"{where}: coefficients must be integers")
-        coeffs[tuple(exponents)] = coeffs.get(tuple(exponents), 0) + value
     try:
-        return rational.MultiHomPoly.make(space, coeffs)
+        return rational.MultiHomPoly.make(space, entry["coeffs"])
     except ValueError as exc:
         raise JobValidationError(f"{where}: {exc}") from exc
 

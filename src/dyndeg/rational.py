@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
-from .intmat import IntMatrix, freeze, identity
+from .intmat import IntMatrix, det, freeze, identity
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
 
@@ -710,39 +710,21 @@ def fiber_degree_sequence(
     return [alpha(_pullback_class(space, r), 0) for r in rows]
 
 
-def _rank(matrix: list[list[int]]) -> int:
-    rows = [row[:] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = Fraction(rows[r][col], inv)
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 _DOMINANCE_POINTS = 3
 
 
 def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> bool:
-    """Probabilistic dominance test via exact Jacobian rank at random points.
+    """Probabilistic dominance test via an exact Jacobian determinant at random points.
 
     At up to three random integer points, each component tuple is read in
     the affine chart of its entry q of largest absolute value.  The
     Jacobian row of P_j / q is (q dP_j - P_j dq) / q^2; the integer row
     q dP_j - P_j dq is that row times q^2 != 0, so the rank is the same.
-    Full rank at any point certifies dominance; if no tested point has full
-    rank, a DominanceWarning is emitted (never an error -- the test is
-    one-sided).
+    Tuple i gives n_i rows and there is one column per affine variable, so
+    the Jacobian is square of size dim, and it has full rank exactly when
+    its determinant is nonzero.  Full rank at any point certifies
+    dominance; if no tested point has full rank, a DominanceWarning is
+    emitted (never an error -- the test is one-sided).
     """
     rng = rng or random.Random(1729)
     space = f.space
@@ -769,7 +751,7 @@ def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> boo
                     if j != pivot:
                         jac.append([d.evaluate(point) * q - vals[j] * c
                                     for d, c in zip(dp, dq)])
-            if _rank(jac) == space.dim:
+            if det(jac) != 0:
                 return True
             break
     warnings.warn(

@@ -70,12 +70,10 @@ class SuiteReport:
         }
 
 
-def spectral_product_formula_property(
-    rng: random.Random, draws_per_shape: int = 7, k_max: int = 6
-) -> Verdict:
+def spectral_product_formula_property(rng: random.Random) -> Verdict:
     rows = []
-    for k, l in sampling.fibration_shapes(k_max):
-        for _ in range(draws_per_shape):
+    for k, l in sampling.fibration_shapes(6):
+        for _ in range(7):
             f, resamples = sampling.random_fibered_map(rng, k, l)
             verdict = product_formula(monomial_oracle_profile(f))
             rows.append(
@@ -90,12 +88,10 @@ def spectral_product_formula_property(
     return combine_rows("spectral-product-formula", rows)
 
 
-def minor_multiplicativity_property(
-    rng: random.Random, pairs: int = 100, k_max: int = 5
-) -> Verdict:
+def minor_multiplicativity_property(rng: random.Random) -> Verdict:
     rows = []
-    for i in range(pairs):
-        k = rng.randint(2, k_max)
+    for i in range(100):
+        k = rng.randint(2, 5)
         a = sampling.random_matrix(rng, k)
         b = sampling.random_matrix(rng, k)
         ok = True
@@ -109,19 +105,17 @@ def minor_multiplicativity_property(
     return combine_rows("minor-multiplicativity", rows)
 
 
-def mixed_extreme_identity_property(
-    rng: random.Random, draws: int = 30, k_max: int = 5, n_max: int = 8
-) -> Verdict:
+def mixed_extreme_identity_property(rng: random.Random) -> Verdict:
     rows = []
-    shapes = list(sampling.fibration_shapes(k_max))
-    for _ in range(draws):
+    shapes = list(sampling.fibration_shapes(5))
+    for _ in range(30):
         k, l = shapes[rng.randrange(len(shapes))]
         f, _ = sampling.random_fibered_map(rng, k, l)
         ok = True
         for p in range(0, k - l + 1):
-            relative = monomial.lambda_relative_sequence(f, p, n_max)
+            relative = monomial.lambda_relative_sequence(f, p, 8)
             # the full base cut leaves only the fiber block's action
-            fiber = monomial.lambda_sequence(f.fiber_map(), p, n_max)
+            fiber = monomial.lambda_sequence(f.fiber_map(), p, 8)
             if relative != [math.factorial(l) * x for x in fiber]:
                 ok = False
                 break
@@ -129,9 +123,9 @@ def mixed_extreme_identity_property(
     return combine_rows("mixed-extreme-identity", rows)
 
 
-def pairing_monotonicity_property(rng: random.Random, draws: int = 60) -> Verdict:
+def pairing_monotonicity_property(rng: random.Random) -> Verdict:
     rows = []
-    for _ in range(draws):
+    for _ in range(60):
         space = sampling.random_fibered_space(rng)
         degree = rng.randint(0, space.dim)
         c = sampling.random_effective_class(rng, space, degree)
@@ -167,13 +161,7 @@ def _pairing_weight_range(f: monomial.MonomialMap, p: int) -> tuple[int, int, in
     return min(summed_weights), max(summed_weights), min(lam_weights), max(lam_weights)
 
 
-def summed_sequence_convergence_property(
-    rng: random.Random,
-    n_max: int,
-    tol: float,
-    draws: int = 12,
-    k_max: int = 4,
-) -> Verdict:
+def summed_sequence_convergence_property(rng: random.Random, n_max: int, tol: float) -> Verdict:
     """The summed mixed sequence grows at exactly the total sequence's rate.
 
     Checked two ways: an exact integer sandwich between the sequences
@@ -184,9 +172,9 @@ def summed_sequence_convergence_property(
     INCONCLUSIVE instead of failed.
     """
     rows = []
-    shapes = list(sampling.fibration_shapes(k_max))
+    shapes = list(sampling.fibration_shapes(4))
     log_tol = math.log1p(tol)
-    for _ in range(draws):
+    for _ in range(12):
         k, l = shapes[rng.randrange(len(shapes))]
         f, _ = sampling.random_fibered_map(rng, k, l)
         p = rng.randint(0, k)
@@ -224,11 +212,10 @@ def summed_sequence_convergence_property(
     return combine_rows("summed-sequence-convergence", rows)
 
 
-def distinctness_inheritance_property(
-    rng: random.Random, draws: int = 40, k_max: int = 6
-) -> Verdict:
+def distinctness_inheritance_property(rng: random.Random) -> Verdict:
     rows = []
-    shapes = list(sampling.fibration_shapes(k_max))
+    shapes = list(sampling.fibration_shapes(6))
+    draws = 40
     vacuous = 0
     for _ in range(draws):
         k, l = shapes[rng.randrange(len(shapes))]

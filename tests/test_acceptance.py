@@ -292,7 +292,7 @@ def _compositions(k):
 def test_c10_infrastructure_identities(acceptance_log, tmp_path):
     failures = []
 
-    minors = minor_multiplicativity_property(random.Random(3301), pairs=100)
+    minors = minor_multiplicativity_property(random.Random(3301))
     if minors.status is not VerdictStatus.PASS:
         failures.append("compound multiplicativity")
 

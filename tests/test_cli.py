@@ -416,6 +416,25 @@ class TestErrorHandling:
         assert code == 1
         assert not out and err
 
+    def test_repeated_exponents_are_summed(self, capsys, tmp_path):
+        line = [[[2, 0], 2], [[2, 0], 3], [[1, 1], 1], [[1, 1], -1]]
+        payload = {"type": "rational", "factors": [1],
+                   "components": [[{"coeffs": line}, {"coeffs": [[[0, 2], 1]]}]], "n_max": 3}
+        job = write_job(tmp_path, "repeated.json", payload)
+        code, out, _ = run(capsys, "sequence", "--input", job, "--format", "json")
+        assert code == 0
+        components = json.loads(out)["job"]["components"]
+        assert components[0][0] == {"coeffs": [[[2, 0], 5]]}
+
+    def test_invalid_exponents_are_rejected_even_when_they_cancel(self, capsys, tmp_path):
+        line = [[[2, 0], 1], [[-1, 3], 2], [[-1, 3], -2]]
+        payload = {"type": "rational", "factors": [1],
+                   "components": [[{"coeffs": line}, {"coeffs": [[[0, 2], 1]]}]], "n_max": 3}
+        job = write_job(tmp_path, "cancelled.json", payload)
+        code, out, err = run(capsys, "sequence", "--input", job)
+        assert code == 1
+        assert not out and "exponents must be nonnegative" in err
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1, 1.0, 2.5, 0, -0.5])
     def test_job_tolerance_must_lie_strictly_between_zero_and_one(self, capsys, tmp_path,
                                                                   value):

@@ -661,6 +661,19 @@ class TestDominance:
         with pytest.warns(DominanceWarning):
             assert check_dominance(f) is False
 
+    def test_decides_on_the_jacobian_not_the_multidegrees(self):
+        # both maps have the singular multidegree matrix ((1, 1), (1, 1))
+        space = Space((1, 1))
+        xy = (poly(space, {(1, 0, 1, 0): 1}), poly(space, {(0, 1, 0, 1): 1}))
+        x_over_y = (poly(space, {(1, 0, 0, 1): 1}), poly(space, {(0, 1, 1, 0): 1}))
+        # affine (xy, x/y) has Jacobian determinant -2x/y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DominanceWarning)
+            assert check_dominance(RationalMapDesc(space, (xy, x_over_y))) is True
+        # affine (xy, xy) has image a curve
+        with pytest.warns(DominanceWarning):
+            assert check_dominance(RationalMapDesc(space, (xy, xy))) is False
+
 
 class TestMonomialBridge:
     def test_lambda1_matches_monomial_engine(self, golden_matrix):

@@ -54,29 +54,27 @@ class TestRunSuite:
 
 class TestIndividualProperties:
     def test_spectral_product_formula(self):
-        v = spectral_product_formula_property(random.Random(11), draws_per_shape=2, k_max=4)
+        v = spectral_product_formula_property(random.Random(11))
         assert v.status is VerdictStatus.PASS
 
     def test_minor_multiplicativity(self):
-        v = minor_multiplicativity_property(random.Random(11), pairs=10)
+        v = minor_multiplicativity_property(random.Random(11))
         assert v.status is VerdictStatus.PASS
 
     def test_mixed_extreme_identity(self):
-        v = mixed_extreme_identity_property(random.Random(11), draws=10)
+        v = mixed_extreme_identity_property(random.Random(11))
         assert v.status is VerdictStatus.PASS
 
     def test_pairing_monotonicity(self):
-        v = pairing_monotonicity_property(random.Random(11), draws=20)
+        v = pairing_monotonicity_property(random.Random(11))
         assert v.status is VerdictStatus.PASS
 
     def test_summed_sequence_convergence(self):
-        v = summed_sequence_convergence_property(
-            random.Random(11), n_max=40, tol=5e-2, draws=4
-        )
+        v = summed_sequence_convergence_property(random.Random(11), n_max=40, tol=5e-2)
         assert v.status is VerdictStatus.PASS
         for row in v.rows:
             assert row["status"] == "PASS"
 
     def test_distinctness_inheritance(self):
-        v = distinctness_inheritance_property(random.Random(11), draws=15)
+        v = distinctness_inheritance_property(random.Random(11))
         assert v.status is VerdictStatus.PASS
