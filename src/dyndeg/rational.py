@@ -18,8 +18,10 @@ variable, univariate images at a point where the first entry keeps its
 leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
 never certifies a tuple with a common factor; a coprime tuple fails it only
 at an unlucky point.  Only an uncertified tuple gets an exact multivariate
-gcd over Z, in sympy's sparse ring, so the output never depends on the
-point; sympy is imported at that first gcd, never for a certified tuple.
+gcd over Z, so the output never depends on the point.  That gcd runs in
+the affine ring with one variable fewer per factor (see _divide_out_gcd
+for why that is exact); sympy is imported at that first gcd, never for a
+certified tuple.
 Large polynomial products use signed Kronecker packing into decimal
 slots: one big decimal integer per operand and one exact product, taken
 by libmpdec; everything stays exact.
@@ -79,26 +81,6 @@ def num_variables(space: Space) -> int:
     return sum(n + 1 for n in space.factors)
 
 
-# sympy is imported on first use: only a tuple the mod-p certificate leaves
-# uncertified needs it, and importing it costs far more than a typical job.
-@lru_cache(maxsize=None)
-def _sympy_gens(space: Space) -> tuple:
-    import sympy
-
-    names = []
-    for i, n in enumerate(space.factors):
-        names.extend(f"x{i}_{j}" for j in range(n + 1))
-    return sympy.symbols(names)
-
-
-@lru_cache(maxsize=None)
-def _sparse_ring(space: Space):
-    import sympy
-    from sympy.polys.rings import ring
-
-    return ring(_sympy_gens(space), sympy.ZZ)[0]
-
-
 @dataclass(frozen=True)
 class MultiHomPoly:
     """A multihomogeneous polynomial with integer coefficients.
@@ -119,13 +101,13 @@ class MultiHomPoly:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for exponents, value in items:
             value = int(value)
-            if value == 0:
-                continue
             e = tuple(int(x) for x in exponents)
             if len(e) != nvars:
                 raise ValueError(f"exponent vector needs {nvars} entries, got {len(e)}")
             if any(x < 0 for x in e):
                 raise ValueError("exponents must be nonnegative")
+            if value == 0:
+                continue
             cleaned[e] = cleaned.get(e, 0) + value
         terms = tuple(sorted((e, c) for e, c in cleaned.items() if c != 0))
         poly = cls(space, terms)
@@ -446,17 +428,55 @@ def _certify_coprime(active: Sequence[MultiHomPoly]) -> bool:
 
 
 def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
-    """Divide the exact gcd over Z out of every entry, in sympy's sparse ring."""
-    ring_ = _sparse_ring(space)
-    elements = [None if p.is_zero else ring_.from_dict(dict(p.terms)) for p in polys]
+    """Divide the exact gcd over Z out of every entry of a stripped tuple.
+
+    The gcd and the quotients are taken in sympy's sparse affine ring, where
+    the last variable of each factor block is set to 1: one variable fewer
+    per factor.  That is exact.  Setting a variable to 1 respects products,
+    and it loses nothing on a polynomial that the variable does not divide:
+    homogenizing the image to its largest block degrees gives it back.
+    After the strip no variable divides every entry, so none divides the
+    gcd, and the affine gcd is the image of the homogeneous one.  So the
+    gcd's degree in block i is the largest block-i exponent sum of its
+    affine terms, and each quotient is homogenized back to its own
+    multidegree, its entry's minus the gcd's.  The quotients need no second
+    strip: a variable or an integer dividing all of them would divide every
+    entry.  sympy is imported here, at the first tuple the certificate
+    leaves uncertified, since importing it costs more than a typical job.
+    """
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    keep: list[int] = []  # the variables left after dehomogenizing
+    spans = []  # block i's slice of an affine exponent vector
+    for start, count in variable_layout(space):
+        spans.append((len(keep), len(keep) + count - 1))
+        keep.extend(range(start, start + count - 1))
+    ring_ = ring([f"x{i}" for i in keep], ZZ)[0]
+    elements = [
+        None if p.is_zero else ring_.from_dict({tuple(e[i] for i in keep): c for e, c in p.terms})
+        for p in polys
+    ]
     gcd_poly = reduce(lambda a, b: a.gcd(b), (e for e in elements if e is not None))
     if gcd_poly.is_ground:
         return tuple(polys)
-    return _strip_monomial_and_content(tuple(
+    gcd_deg = [max(sum(a[lo:hi]) for a in gcd_poly.keys()) for lo, hi in spans]
+
+    def homogenize(affine, multidegree) -> MultiHomPoly:
+        terms = []
+        for a, c in affine.items():
+            e = []
+            for (lo, hi), d in zip(spans, multidegree):
+                e.extend(a[lo:hi])
+                e.append(d - sum(a[lo:hi]))
+            terms.append((tuple(e), int(c)))
+        return MultiHomPoly(space, tuple(sorted(terms)))
+
+    return tuple(
         p if e is None
-        else MultiHomPoly.make(space, {m: int(c) for m, c in e.exquo(gcd_poly).items()})
+        else homogenize(e.exquo(gcd_poly), [d - g for d, g in zip(p.multidegree, gcd_deg)])
         for p, e in zip(polys, elements)
-    ))
+    )
 
 
 def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:

@@ -435,6 +435,20 @@ class TestErrorHandling:
         assert code == 1
         assert not out and "exponents must be nonnegative" in err
 
+    @pytest.mark.parametrize("term, message", [
+        ([[5, 5, 5], 0], "exponent vector needs 2 entries, got 3"),
+        ([[-1, 3], 0], "exponents must be nonnegative"),
+    ])
+    def test_zero_valued_terms_still_need_valid_exponents(self, capsys, tmp_path,
+                                                          term, message):
+        line = [[[2, 0], 1], term]
+        payload = {"type": "rational", "factors": [1],
+                   "components": [[{"coeffs": line}, {"coeffs": [[[0, 2], 1]]}]], "n_max": 3}
+        job = write_job(tmp_path, "zero_term.json", payload)
+        code, out, err = run(capsys, "sequence", "--input", job)
+        assert code == 1
+        assert not out and f"component 0[0]: {message}" in err
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1, 1.0, 2.5, 0, -0.5])
     def test_job_tolerance_must_lie_strictly_between_zero_and_one(self, capsys, tmp_path,
                                                                   value):

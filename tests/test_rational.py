@@ -31,7 +31,6 @@ from dyndeg.rational import (
     _dict_mul,
     _kron_mul,
     _strip_monomial_and_content,
-    _sympy_gens,
     base_map,
     check_dominance,
     compose,
@@ -176,9 +175,17 @@ def _draw_factor(data, space, multidegree):
     return poly(space, dict(zip(exps, coeffs)))
 
 
+def _sympy_gens(space):
+    names = []
+    for i, n in enumerate(space.factors):
+        names.extend(f"x{i}_{j}" for j in range(n + 1))
+    return sympy.symbols(names)
+
+
 def _dense_reduce_tuple(space, polys):
     """Reference for reduce_tuple: every gcd-route tuple goes through sympy's
-    dense Poly gcd and exquo, with no certificate in front."""
+    dense Poly gcd and exquo in all the homogeneous variables, with no
+    certificate in front."""
     gens = _sympy_gens(space)
 
     def to_dense(p):
@@ -368,12 +375,31 @@ class TestReduceTuple:
             else _draw_poly(data, space, degs)
             for _ in range(data.draw(st.integers(2, 4)))
         ]
+        # the variable the exact gcd sets to 1 in each block is the last one
+        layout = variable_layout(space)
+        block = data.draw(st.integers(0, len(layout) - 1))
+        dropped = [
+            MultiHomPoly.variable(space, b, count - 1) for b, (_, count) in enumerate(layout)
+        ]
+        if data.draw(st.booleans()):
+            # a dropped variable divides some entries, another variable the rest
+            first = MultiHomPoly.variable(space, block, 0)
+            flags = [True, False] + [data.draw(st.booleans()) for _ in entries[2:]]
+            entries = [p * (dropped[block] if flag else first) for p, flag in zip(entries, flags)]
         planted = data.draw(st.booleans())
         if planted:
             g_degs = tuple(data.draw(st.integers(0, 1)) for _ in space.factors)
             if not any(g_degs):
                 g_degs = (1,) + g_degs[1:]
             factor = _draw_factor(data, space, g_degs)
+            if data.draw(st.booleans()):
+                # a factor whose affine image has terms of lower block degree
+                corner = reduce(MultiHomPoly.__mul__,
+                                (x.power(d) for x, d in zip(dropped, g_degs)))
+                # a scale that cancels the corner's own term could leave a monomial
+                present = factor.coeff(corner.terms[0][0])
+                scale = data.draw(st.integers(-9, 9).filter(lambda c: c and c != -present))
+                factor = factor + corner.scale(scale)
             entries = [p * factor for p in entries]
         if all(p.is_zero for p in entries):
             entries[0] = _draw_poly(data, space, degs)
@@ -384,7 +410,7 @@ class TestReduceTuple:
 
     def test_coprime_iterates_never_reach_sympy(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a certified coprime tuple reached the sparse-ring gcd")
+            raise AssertionError("a certified coprime tuple reached the exact gcd")
 
         monkeypatch.setattr(rational, "_divide_out_gcd", refuse)
         p1 = Space((1,))
@@ -394,6 +420,23 @@ class TestReduceTuple:
         ),))
         data = iterate_multidegrees(f, n_max=5)
         assert list(data.lambda1) == [2**m for m in range(6)]
+        # a skew product over that map: its fiber tuple uses base variables,
+        # so it is not a product of maps of P^1 and every iterate composes
+        skew = RationalMapDesc(P1xP1, (
+            (
+                poly(P1xP1, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 3}),
+                poly(P1xP1, {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): -1}),
+            ),
+            (
+                poly(P1xP1, {(1, 0, 2, 0): 1, (0, 1, 0, 2): 2}),
+                poly(P1xP1, {(1, 0, 1, 1): 1, (0, 1, 2, 0): -1, (0, 1, 0, 2): 1}),
+            ),
+        ), fibration_dim=1)
+        data = iterate_multidegrees(skew, n_max=4)
+        assert data.multidegrees == (
+            ((2, 0), (1, 2)), ((4, 0), (4, 4)), ((8, 0), (12, 8)), ((16, 0), (32, 16)),
+        )
+        assert data.lambda1 == (2, 5, 12, 28, 64)
 
 
 class TestRationalMapDesc:
@@ -431,6 +474,28 @@ class TestRationalMapDesc:
         data = iterate_multidegrees(cremona(), n_max=6)
         assert list(data.lambda1) == [1, 2, 1, 2, 1, 2, 1]
         assert not data.truncated
+
+    @pytest.mark.parametrize("a", [3, -4])
+    def test_lyness_degree_sequence(self, monkeypatch, a):
+        # (XY : YZ + aZ^2 : XZ): quadratic growth, and its iterates lose
+        # common factors that are not monomials
+        found = []
+        divide_out_gcd = rational._divide_out_gcd
+
+        def recording(space, polys):
+            reduced = divide_out_gcd(space, polys)
+            found.append(reduced != tuple(polys))
+            return reduced
+
+        monkeypatch.setattr(rational, "_divide_out_gcd", recording)
+        f = RationalMapDesc(P2, ((
+            poly(P2, {(1, 1, 0): 1}),
+            poly(P2, {(0, 1, 1): 1, (0, 0, 2): a}),
+            poly(P2, {(1, 0, 1): 1}),
+        ),))
+        data = iterate_multidegrees(f, n_max=10)
+        assert data.lambda1 == (1, 2, 2, 3, 4, 5, 7, 9, 11, 14, 16)
+        assert any(found)
 
     def test_self_collapse_raises(self):
         f = RationalMapDesc(
