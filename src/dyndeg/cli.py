@@ -33,7 +33,8 @@ byte-identical output.
 
 Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
 before any work), 2 computation error (collapse, root-finding failure, a
-degree's n-th root beyond the float range), 3 a verification FAIL.
+degree's n-th root beyond the float range, an exact gcd out of evaluation
+points), 3 a verification FAIL.
 verify-product reports an INCONCLUSIVE check and exits 0; suite exits 3
 unless every property passes, so an INCONCLUSIVE suite exits 3 too.  A
 rational iteration stopped by the degree cap before the requested iterate

@@ -19,12 +19,13 @@ leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
 never certifies a tuple with a common factor; a coprime tuple fails it only
 at an unlucky point.  Only an uncertified tuple gets an exact multivariate
 gcd over Z, so the output never depends on the point.  That gcd runs in
-the affine ring with one variable fewer per factor (see _divide_out_gcd
-for why that is exact); sympy is imported at that first gcd, never for a
-certified tuple.
+the affine ring with one variable fewer per factor; it is the heuristic
+gcd (Char, Geddes and Gonnet 1989), and its result is proved, not trusted
+(see _divide_out_gcd for both).
 Large polynomial products use signed Kronecker packing into decimal
 slots: one big decimal integer per operand and one exact product, taken
-by libmpdec; everything stays exact.
+by libmpdec; exact quotients are packed and divided the same way, and
+everything stays exact.
 
 Coordinates and charts: within factor i the variables are
 x_{i,0}, ..., x_{i,n_i}; affine charts set x_{i,0} = 1, so on (P^1)^k the
@@ -39,8 +40,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, det, freeze, identity
@@ -232,6 +233,63 @@ def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     return MultiHomPoly(p1.space, tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
 
 
+def _decimal_width(bound: int) -> int:
+    """The least number of decimal digits w with 10**w > bound."""
+    width = max(1, bound.bit_length() * 3 // 10)  # never above the least width
+    while 10**width <= bound:
+        width += 1
+    return width
+
+
+def _pack(placed: Sequence[tuple[int, int]], width: int) -> decimal.Decimal:
+    """sum(c * 10**(width * offset)) over (offset, c) pairs with distinct offsets
+    and |c| < 10**width: its positive part minus its negative part."""
+    top = max(offset for offset, _ in placed)
+    zero = "0" * width
+    parts = ([zero] * (top + 1), [zero] * (top + 1))  # positive, negative
+    for offset, c in placed:
+        parts[c < 0][top - offset] = str(_CTX.create_decimal(abs(c))).zfill(width)
+    positive, negative = (_CTX.create_decimal("".join(part)) for part in parts)
+    return _CTX.subtract(positive, negative)
+
+
+def _unpack(digits: str, width: int, slots: int) -> list[tuple[int, int]] | None:
+    """The nonzero balanced base-10**width digits of the decimal integer
+    `digits` as (slot, digit) pairs, least significant first, or None if
+    it needs more than `slots` slots.
+
+    A slot value (with the carry into it) of at least half of 10**width is a
+    negative digit and carries one into the next slot; a negative integer
+    negates every digit (Harvey 2009).
+    """
+    sign = -1 if digits[0] == "-" else 1
+    first = int(sign < 0)  # the index of the leading digit
+    used = -(-(len(digits) - first) // width)
+    if used > slots:
+        return None
+    zero = "0" * width
+    base = 10**width
+    half = base // 2
+    out = []
+    carry = 0
+    for idx, end in enumerate(range(len(digits), first, -width)):
+        start = end - width
+        chunk = digits[start if start > first else first : end]
+        if chunk == zero and not carry:
+            continue
+        c = int(_CTX.create_decimal(chunk)) + carry
+        carry = c >= half
+        if carry:
+            c -= base
+        if c:
+            out.append((idx, sign * c))
+    if carry:
+        if used == slots:
+            return None
+        out.append((used, sign))
+    return out
+
+
 def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     """Exact multiplication via Kronecker packing into big decimal integers.
 
@@ -240,16 +298,11 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     packed size is governed by the product multidegree rather than the
     full exponent box.  A slot is `width` decimal digits, and 10**width
     exceeds twice the largest product coefficient's magnitude.  Each
-    operand packs to one signed decimal (its positive part minus its
-    negative part) and libmpdec takes one product, a squaring when both
-    operands are the same object; at these sizes it multiplies by a
-    number-theoretic transform.  The slots of the product's magnitude are
-    read back as balanced digits, least significant first: a slot value
-    (with the carry into it) of at least half of 10**width is a negative
-    coefficient and carries one into the next slot; a negative product
-    negates every coefficient (Harvey 2009).  Every int <-> digit
-    conversion goes through decimal, which int_max_str_digits does not
-    limit.
+    operand packs to one signed decimal and libmpdec takes one product, a
+    squaring when both operands are the same object; at these sizes it
+    multiplies by a number-theoretic transform.  The product's slots are
+    read back as balanced digits.  Every int <-> digit conversion goes
+    through decimal, which int_max_str_digits does not limit.
     """
     space = p1.space
     layout = variable_layout(space)
@@ -266,51 +319,27 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
     slots = acc
     c1max = max(abs(c) for _, c in p1.terms)
     c2max = max(abs(c) for _, c in p2.terms)
-    bound = min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2 + 1
-    width = max(1, bound.bit_length() * 3 // 10)  # never above the least width
-    while 10**width <= bound:
-        width += 1
-    base = 10**width
-    half = base // 2
-    zero = "0" * width
+    width = _decimal_width(min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2)
 
     def pack(terms):
-        offsets = [sum(e[i] * s for i, s in zip(keep, strides)) for e, _ in terms]
-        top = max(offsets)
-        parts = ([zero] * (top + 1), [zero] * (top + 1))  # positive, negative
-        for off, (_, c) in zip(offsets, terms):
-            parts[c < 0][top - off] = str(_CTX.create_decimal(abs(c))).zfill(width)
-        positive, negative = (_CTX.create_decimal("".join(part)) for part in parts)
-        return _CTX.subtract(positive, negative)
+        return _pack(
+            [(sum(e[i] * s for i, s in zip(keep, strides)), c) for e, c in terms], width
+        )
 
     a = pack(p1.terms)
     b = a if p2 is p1 else pack(p2.terms)
-    # zfill keeps a minus sign in front, so slot idx ends at digit
-    # (slots - idx) * width + 1 either way
-    digits = str(_CTX.multiply(a, b)).zfill(slots * width + 1)
+    digits = str(_CTX.multiply(a, b))
     del a, b
-    sign = -1 if digits[0] == "-" else 1
     acc_terms: dict[tuple[int, ...], int] = {}
     nvars = num_variables(space)
-    carry = 0
-    for idx in range(slots):
-        end = (slots - idx) * width + 1
-        chunk = digits[end - width : end]
-        if chunk == zero and not carry:
-            continue
-        c = int(_CTX.create_decimal(chunk)) + carry
-        carry = c >= half
-        if carry:
-            c -= base
-        if c == 0:
-            continue
+    for idx, c in _unpack(digits, width, slots):
         e = [0] * nvars
         rem = idx
         for j, i in enumerate(keep):
             e[i], rem = divmod(rem, strides[j])
         for f, (start, count) in enumerate(layout):
             e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
-        acc_terms[tuple(e)] = sign * c
+        acc_terms[tuple(e)] = c
     return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
 
 
@@ -427,40 +456,197 @@ def _certify_coprime(active: Sequence[MultiHomPoly]) -> bool:
     return True
 
 
+# An affine polynomial is a dict from exponent tuples to nonzero ints; its
+# leading term is the largest exponent tuple (lex order).
+Affine = dict[tuple[int, ...], int]
+
+
+def _exquo(p: Affine, d: Affine) -> Affine | None:
+    """The exact quotient p / d of nonzero affine polynomials over Z, or None
+    when d does not divide p.
+
+    Both pack by one Kronecker substitution into decimal slots: strides from
+    p's degree in each variable, and a slot width w whose 10**w exceeds
+    twice |p| + len(d) |d| Q, where Q = 2**(deg p - deg d) ||p||_2 bounds
+    the coefficients of any quotient (Mahler measure: M(q) <= M(p) <=
+    ||p||_2, and a coefficient of q is at most 2**deg q M(q)).  libmpdec
+    divides exactly, and the quotient's balanced digits are read back as
+    q.  The result is proved, not trusted: pack(d) pack(q) == pack(p) holds
+    as integers, q d lies in the stride box (deg q + deg d <= deg p in
+    every variable), and every coefficient of p - q d is below half a slot
+    (|q| <= Q), so p - q d, which packs to zero, is zero.
+    """
+    nvars = len(next(iter(p)))
+    deg_p = [max(e[v] for e in p) for v in range(nvars)]
+    deg_d = [max(e[v] for e in d) for v in range(nvars)]
+    lead_p, lead_d = max(p), max(d)
+    if (
+        any(a < b for a, b in zip(deg_p, deg_d))
+        or any(a < b for a, b in zip(lead_p, lead_d))
+        or p[lead_p] % d[lead_d]
+    ):
+        return None  # the leading term of a product is the product of theirs
+    strides = [0] * nvars
+    slots = 1
+    for v in range(nvars - 1, -1, -1):
+        strides[v] = slots
+        slots *= deg_p[v] + 1
+    q_bound = (math.isqrt(sum(c * c for c in p.values())) + 1) << (sum(deg_p) - sum(deg_d))
+    p_max = max(abs(c) for c in p.values())
+    width = _decimal_width(2 * (p_max + len(d) * max(abs(c) for c in d.values()) * q_bound))
+
+    def pack(poly):
+        return _pack([(sum(x * s for x, s in zip(e, strides)), c) for e, c in poly.items()], width)
+
+    quotient, remainder = _CTX.divmod(pack(p), pack(d))
+    if remainder:
+        return None
+    digits = _unpack(str(quotient), width, slots)
+    if not digits:
+        return None
+    q = {}
+    for idx, c in digits:
+        if abs(c) > q_bound:
+            return None
+        e = []
+        for s in strides:
+            x, idx = divmod(idx, s)
+            e.append(x)
+        q[tuple(e)] = c
+    if any(max(e[v] for e in q) + deg_d[v] > deg_p[v] for v in range(nvars)):
+        return None
+    return q
+
+
+def _evaluate_first(p: Affine, xi: int) -> Affine | int:
+    """p with its first variable set to xi: an int if p is univariate."""
+    powers = [1]
+    for _ in range(max(e[0] for e in p)):
+        powers.append(powers[-1] * xi)
+    if len(next(iter(p))) == 1:
+        return sum(c * powers[e[0]] for e, c in p.items())
+    image: Affine = {}
+    for e, c in p.items():
+        image[e[1:]] = image.get(e[1:], 0) + c * powers[e[0]]
+    return {e: c for e, c in image.items() if c}
+
+
+def _interpolate(image: Affine | int, xi: int) -> Affine:
+    """The polynomial whose first variable's coefficients are the balanced
+    base-xi digits of image's coefficients, with positive leading
+    coefficient."""
+    half = xi // 2
+    out: Affine = {}
+    for rest, c in image.items() if isinstance(image, dict) else (((), image),):
+        i = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[(i,) + rest] = digit
+            i += 1
+    if out[max(out)] < 0:
+        out = {e: -c for e, c in out.items()}
+    return out
+
+
+def _candidates(
+    polys: list[Affine], h: Affine | int, cofactors: list, xi: int
+) -> Iterator[tuple[Affine, list]]:
+    """sympy's three candidate routes, from the images' gcd h and cofactors
+    at xi: the primitive part of h interpolated, with no quotient known yet;
+    then, for each entry, its cofactor interpolated, with the entry's exact
+    quotient by it as the divisor."""
+    h = _interpolate(h, xi)
+    g = math.gcd(*h.values())
+    yield {e: c // g for e, c in h.items()}, [None] * len(polys)
+    for j, image in enumerate(cofactors):
+        cofactor = _interpolate(image, xi)
+        h = _exquo(polys[j], cofactor)
+        if h is not None:
+            quotients = [None] * len(polys)
+            quotients[j] = cofactor
+            yield h, quotients
+
+
+_HEUGCD_TRIES = 6  # evaluation points per level, as in sympy's heugcd
+
+
+def _heugcd(polys: list[Affine]) -> Iterator[tuple[Affine, list[Affine]]]:
+    """Yield common divisors h of nonzero affine polynomials over Z with their
+    cofactors, h * cofactors[i] == polys[i] for every i, proved by _exquo.
+
+    The heuristic gcd (Char, Geddes and Gonnet 1989; Liao and Fateman 1995),
+    ported from sympy's heugcd to any number of entries: the integer
+    content is pulled out and multiplied back into every h; the first
+    variable is evaluated at xi, and the images' gcd and cofactors come
+    from math.gcd when they are ints and from this function's first yield
+    otherwise.  Three kinds of candidate are then tried: the primitive part
+    of the gcd interpolated from balanced base-xi digits, and for each
+    entry, its cofactor interpolated the same way, with h its exact quotient.
+    Each candidate h must divide every entry exactly.  xi starts and grows
+    as in sympy; RuntimeError after _HEUGCD_TRIES points.  The first yield
+    is the gcd whenever xi is large enough, and it is what sympy returns;
+    a caller may ask for more.
+    """
+    content = math.gcd(*(c for p in polys for c in p.values()))
+    if content != 1:
+        polys = [{e: c // content for e, c in p.items()} for p in polys]
+    norms = [max(abs(c) for c in p.values()) for p in polys]
+    bound = 2 * min(norms) + 29
+    xi = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(n // abs(p[max(p)]) for n, p in zip(norms, polys)) + 4,
+    )
+    for _ in range(_HEUGCD_TRIES):
+        images = [_evaluate_first(p, xi) for p in polys]
+        if all(images):
+            if isinstance(images[0], int):
+                image_gcd = math.gcd(*images)
+                cofactors = [a // image_gcd for a in images]
+            else:
+                image_gcd, cofactors = next(_heugcd(images))
+            for h, quotients in _candidates(polys, image_gcd, cofactors, xi):
+                for i, p in enumerate(polys):
+                    if quotients[i] is None:
+                        quotients[i] = _exquo(p, h)
+                        if quotients[i] is None:
+                            break
+                else:
+                    yield {e: c * content for e, c in h.items()}, quotients
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    raise RuntimeError(f"heuristic gcd found no exact divisor in {_HEUGCD_TRIES} tries")
+
+
 def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
     """Divide the exact gcd over Z out of every entry of a stripped tuple.
 
-    The gcd and the quotients are taken in sympy's sparse affine ring, where
-    the last variable of each factor block is set to 1: one variable fewer
-    per factor.  That is exact.  Setting a variable to 1 respects products,
-    and it loses nothing on a polynomial that the variable does not divide:
-    homogenizing the image to its largest block degrees gives it back.
-    After the strip no variable divides every entry, so none divides the
-    gcd, and the affine gcd is the image of the homogeneous one.  So the
-    gcd's degree in block i is the largest block-i exponent sum of its
-    affine terms, and each quotient is homogenized back to its own
-    multidegree, its entry's minus the gcd's.  The quotients need no second
-    strip: a variable or an integer dividing all of them would divide every
-    entry.  sympy is imported here, at the first tuple the certificate
-    leaves uncertified, since importing it costs more than a typical job.
-    """
-    from sympy import ZZ
-    from sympy.polys.rings import ring
+    The gcd is taken in the affine ring, where the last variable of each
+    factor block is set to 1: one variable fewer per factor.  That is
+    exact.  Setting a variable to 1 respects products, and it loses nothing
+    on a polynomial that the variable does not divide: homogenizing the
+    image to its largest block degrees gives it back.  After the strip no
+    variable divides every entry, so none divides the gcd, and the affine
+    gcd is the image of the homogeneous one.  So the gcd's degree in block
+    i is the largest block-i exponent sum of its affine terms, and each
+    quotient is homogenized back to its own multidegree, its entry's minus
+    the gcd's.  The quotients need no second strip: a variable or an
+    integer dividing all of them would divide every entry.
 
+    The gcd is the heuristic one (_heugcd), and the result is proved in
+    two parts: every quotient times the divisor is its entry exactly
+    (_exquo), and the quotients pass _certify_coprime.  Quotients it
+    cannot certify get another divisor taken out; a candidate that divides
+    out nothing is skipped.  RuntimeError when the heuristic runs out of
+    evaluation points.
+    """
     keep: list[int] = []  # the variables left after dehomogenizing
     spans = []  # block i's slice of an affine exponent vector
     for start, count in variable_layout(space):
         spans.append((len(keep), len(keep) + count - 1))
         keep.extend(range(start, start + count - 1))
-    ring_ = ring([f"x{i}" for i in keep], ZZ)[0]
-    elements = [
-        None if p.is_zero else ring_.from_dict({tuple(e[i] for i in keep): c for e, c in p.terms})
-        for p in polys
-    ]
-    gcd_poly = reduce(lambda a, b: a.gcd(b), (e for e in elements if e is not None))
-    if gcd_poly.is_ground:
-        return tuple(polys)
-    gcd_deg = [max(sum(a[lo:hi]) for a in gcd_poly.keys()) for lo, hi in spans]
 
     def homogenize(affine, multidegree) -> MultiHomPoly:
         terms = []
@@ -469,14 +655,22 @@ def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiH
             for (lo, hi), d in zip(spans, multidegree):
                 e.extend(a[lo:hi])
                 e.append(d - sum(a[lo:hi]))
-            terms.append((tuple(e), int(c)))
+            terms.append((tuple(e), c))
         return MultiHomPoly(space, tuple(sorted(terms)))
 
-    return tuple(
-        p if e is None
-        else homogenize(e.exquo(gcd_poly), [d - g for d, g in zip(p.multidegree, gcd_deg)])
-        for p, e in zip(polys, elements)
-    )
+    active = [i for i, p in enumerate(polys) if not p.is_zero]
+    entries = [{tuple(e[i] for i in keep): c for e, c in polys[i].terms} for i in active]
+    gcd_deg = [0] * len(spans)
+    out = list(polys)
+    while True:
+        h, entries = next(
+            (h, q) for h, q in _heugcd(entries) if len(h) > 1 or any(next(iter(h)))
+        )
+        gcd_deg = [g + max(sum(a[lo:hi]) for a in h) for g, (lo, hi) in zip(gcd_deg, spans)]
+        for i, q in zip(active, entries):
+            out[i] = homogenize(q, [d - g for d, g in zip(polys[i].multidegree, gcd_deg)])
+        if _certify_coprime([out[i] for i in active]):
+            return tuple(out)
 
 
 def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:

@@ -449,6 +449,21 @@ class TestErrorHandling:
         assert code == 1
         assert not out and f"component 0[0]: {message}" in err
 
+    def test_exhausted_gcd_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        from dyndeg import rational
+
+        monkeypatch.setattr(rational, "_HEUGCD_TRIES", 0)
+        # the Lyness map (XY : YZ + 3Z^2 : XZ): its iterates need the exact gcd
+        payload = {"type": "rational", "factors": [2], "n_max": 6, "components": [[
+            {"coeffs": [[[1, 1, 0], 1]]},
+            {"coeffs": [[[0, 1, 1], 1], [[0, 0, 2], 3]]},
+            {"coeffs": [[[1, 0, 1], 1]]},
+        ]]}
+        job = write_job(tmp_path, "lyness.json", payload)
+        code, out, err = run(capsys, "degrees", "--input", job)
+        assert code == 2
+        assert not out and err.startswith("computation error:")
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1, 1.0, 2.5, 0, -0.5])
     def test_job_tolerance_must_lie_strictly_between_zero_and_one(self, capsys, tmp_path,
                                                                   value):
@@ -515,15 +530,17 @@ class TestErrorHandling:
         assert "dominan" in err.lower()
 
 
-# Runs in a fresh interpreter: monomial and certified-coprime jobs, then a
-# tuple with the planted common factor x0 + 2 x1, which needs the exact gcd.
+# Runs in a fresh interpreter: monomial, certified-coprime and Lyness jobs,
+# then a tuple with the planted common factor x0 + 2 x1, which needs the
+# exact gcd.  None of them may import sympy.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from dyndeg import cli
 
-monomial, coprime = sys.argv[1:]
+monomial, coprime, lyness = sys.argv[1:]
 runs = [[command, "--input", monomial] for command in ("degrees", "verify-product", "sequence")]
 runs += [["suite", "--n-max", "5"], ["sequence", "--input", coprime]]
+runs += [[command, "--input", lyness] for command in ("degrees", "sequence")]
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -544,7 +561,7 @@ print(json.dumps({"codes": codes, "sympy_after_jobs": after_jobs,
 
 
 class TestImportHygiene:
-    def test_sympy_is_imported_only_for_the_exact_gcd(self, tmp_path):
+    def test_sympy_is_never_imported(self, tmp_path):
         monomial = write_job(
             tmp_path, "readme.json",
             {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1,
@@ -558,17 +575,26 @@ class TestImportHygiene:
                 {"coeffs": [[[2, 0], 1], [[1, 1], 1], [[0, 2], -1]]},
             ]]},
         )
+        # the Lyness map, whose iterates need the exact gcd
+        lyness = write_job(
+            tmp_path, "lyness.json",
+            {"type": "rational", "factors": [2], "n_max": 8, "components": [[
+                {"coeffs": [[[1, 1, 0], 1]]},
+                {"coeffs": [[[0, 1, 1], 1], [[0, 0, 2], 3]]},
+                {"coeffs": [[[1, 0, 1], 1]]},
+            ]]},
+        )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
         result = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, monomial, coprime],
+            [sys.executable, "-c", _IMPORT_PROBE, monomial, coprime, lyness],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "codes": [0, 0, 0, 3, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
+            "codes": [0, 0, 0, 3, 0, 0, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
             "sympy_after_jobs": False,
             "reduced": True,
-            "sympy_after_gcd": True,
+            "sympy_after_gcd": False,
         }

@@ -9,6 +9,8 @@ from functools import reduce
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rings import ring
 
 from dyndeg import rational
 from dyndeg.cohomology import (
@@ -437,6 +439,180 @@ class TestReduceTuple:
             ((2, 0), (1, 2)), ((4, 0), (4, 4)), ((8, 0), (12, 8)), ((16, 0), (32, 16)),
         )
         assert data.lambda1 == (2, 5, 12, 28, 64)
+
+
+def _affine_mul(a, b):
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            key = tuple(x + y for x, y in zip(e, f))
+            out[key] = out.get(key, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _draw_affine(data, degrees, bound, min_terms=1):
+    """An affine polynomial with at most degrees[v] in variable v (0 keeps a
+    variable out of it)."""
+    exponent = st.tuples(*(st.integers(0, d) for d in degrees))
+    terms = data.draw(st.dictionaries(
+        exponent, st.integers(-bound, bound).filter(bool), min_size=min_terms, max_size=5,
+    ))
+    assume(len(terms) >= min_terms)
+    return terms
+
+
+def _sympy_ring(nvars):
+    return ring([f"y{i}" for i in range(nvars)], sympy.ZZ)[0]
+
+
+def _as_dict(element):
+    return {tuple(e): int(c) for e, c in element.items()}
+
+
+class TestHeuristicGcd:
+    """The standard-library heuristic gcd against sympy's ring gcd and exquo."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_sympy_ring_gcd(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        # 10**30 puts the first evaluation point below the heuristic's bound
+        bound = data.draw(st.sampled_from([9, 10**6, 10**30]))
+        shape = data.draw(st.sampled_from(["planted", "equal", "inner content", "drawn"]))
+        degrees = [2] * nvars
+        # the inner-content factor needs its first variable
+        first = int(shape == "inner content")
+        absent = data.draw(st.none() | st.integers(first, nvars - 1)) if first < nvars else None
+        if absent is not None:
+            degrees[absent] = 0  # a variable no entry uses
+        count = data.draw(st.integers(2, 4))
+        if shape == "planted":
+            factor = _draw_affine(data, degrees, bound, min_terms=2)
+            entries = [_affine_mul(factor, _draw_affine(data, degrees, bound))
+                       for _ in range(count)]
+        elif shape == "equal":
+            entry = _draw_affine(data, degrees, bound)
+            entries = [{e: c * data.draw(st.sampled_from([1, -1, 3])) for e, c in entry.items()}
+                       for _ in range(count)]
+        elif shape == "inner content":
+            # the factor uses the first variable only and the cofactors avoid
+            # it, so the images' gcd below the first level is an integer
+            factor = _draw_affine(data, degrees[:1] + [0] * (nvars - 1), bound, min_terms=2)
+            entries = [
+                _affine_mul(factor, _draw_affine(data, [0] + degrees[1:], bound))
+                for _ in range(count)
+            ]
+        else:
+            entries = [_draw_affine(data, degrees, bound) for _ in range(count)]
+        assume(all(entries))
+        ring_ = _sympy_ring(nvars)
+        elements = [ring_.from_dict(p) for p in entries]
+        expected = reduce(lambda a, b: a.gcd(b), elements)
+        h, quotients = next(rational._heugcd(entries))
+        assert h in (_as_dict(expected), _as_dict(-expected))
+        divisor = ring_.from_dict(h)
+        assert quotients == [_as_dict(element.exquo(divisor)) for element in elements]
+
+    def test_inner_content_is_restored(self):
+        # y2 (y0 + 1) and 2 y1 (y0 + 1): at y0 = xi the images' gcd is the
+        # integer xi + 1, which the level below pulls out as content
+        entries = [{(1, 0, 1): 1, (0, 0, 1): 1}, {(1, 1, 0): 2, (0, 1, 0): 2}]
+        h, quotients = next(rational._heugcd(entries))
+        assert h == {(1, 0, 0): 1, (0, 0, 0): 1}
+        assert quotients == [{(0, 0, 1): 1}, {(0, 1, 0): 2}]
+        space = Space((1, 2))
+        x0, x1, x2, x3, x4 = (MultiHomPoly.variable(space, *v)
+                              for v in ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)))
+        assert reduce_tuple(space, (x3 * (x0 + x1), (x2 * (x0 + x1)).scale(2))) == (
+            x3, x2.scale(2))
+
+    def test_xi_grows_when_the_first_point_fails(self, monkeypatch):
+        entries = [
+            _affine_mul({(2,): -160222, (0,): 178448}, {(2,): 623809}),
+            _affine_mul({(2,): -160222, (0,): 178448}, {(0,): 679052}),
+        ]
+        points = []
+        evaluate = rational._evaluate_first
+
+        def recording(p, xi):
+            points.append(xi)
+            return evaluate(p, xi)
+
+        monkeypatch.setattr(rational, "_evaluate_first", recording)
+        h, _ = next(rational._heugcd(entries))
+        assert h == {(2,): 160222, (0,): -178448}
+        assert len(set(points)) == 2
+
+    def test_cofactors_larger_than_their_product(self):
+        # (x0 + x1)^30 has coefficients 61 times those of (x0^2 - x1^2)^10 (x0 + x1)^20,
+        # so a slot sized for the entries alone cannot hold the quotient
+        x0, x1 = MultiHomPoly.variable(Space((1,)), 0, 0), MultiHomPoly.variable(Space((1,)), 0, 1)
+        factor = (x0 + x1.scale(-1)).power(10)
+        big = (x0 + x1).power(30)
+        other = x0.power(30) + x1.power(30)
+        assert reduce_tuple(Space((1,)), (factor * big, factor * other)) == (big, other)
+        affine = [{(e[0],): c for e, c in p.terms} for p in (factor * big, factor, big)]
+        assert rational._exquo(affine[0], affine[1]) == affine[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exquo_matches_sympy(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        bound = data.draw(st.sampled_from([9, 10**20]))
+        divisor = _draw_affine(data, [2] * nvars, bound)
+        p = _affine_mul(divisor, _draw_affine(data, [2] * nvars, bound))
+        if data.draw(st.booleans()):
+            for e, c in _draw_affine(data, [3] * nvars, bound).items():
+                p[e] = p.get(e, 0) + c
+            p = {e: c for e, c in p.items() if c}
+        assume(p)
+        ring_ = _sympy_ring(nvars)
+        try:
+            expected = _as_dict(ring_.from_dict(p).exquo(ring_.from_dict(divisor)))
+        except ExactQuotientFailed:
+            expected = None
+        assert rational._exquo(p, divisor) == expected
+
+    def test_exquo_refuses_a_packing_collision(self):
+        # x + 10 does not divide x^3 + x, yet at the 3-digit slots _exquo
+        # picks for them 1010 divides 1000001000; the balanced digits of the
+        # integer quotient read x^2 - 10x + 100, whose product with x + 10
+        # is x^3 + 1000: its coefficients exceed the quotient bound
+        assert rational._exquo({(3,): 1, (1,): 1}, {(1,): 1, (0,): 10}) is None
+        assert rational._exquo({(3,): 1, (0,): 1000}, {(1,): 1, (0,): 10}) == {
+            (2,): 1, (1,): -10, (0,): 100}
+        # y + xy does not divide x (1 + x)(1 + y); with p's y-degree 1 the
+        # strides pack y^2 where they pack x, so the integer quotient reads
+        # x + y, whose product with y + xy leaves the stride box
+        p = {(1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1}
+        assert rational._exquo(p, {(0, 1): 1, (1, 1): 1}) is None
+
+    def test_a_proper_divisor_is_not_taken_for_the_gcd(self, monkeypatch):
+        # the heuristic's own test accepts any common divisor; the cofactor
+        # certificate sends quotients that still share (x0 + 2 x1) back
+        p1 = Space((1,))
+        x0, x1 = MultiHomPoly.variable(p1, 0, 0), MultiHomPoly.variable(p1, 0, 1)
+        shared, rest = x0 + x1, x0 + x1.scale(2)
+        q1, q2 = x0 + x1.scale(3), x0 + x1.scale(5)
+        heugcd = rational._heugcd
+
+        def short_first(polys):
+            if len(next(iter(polys[0]))) == 1 and len(polys[0]) == 4:
+                yield {(1,): 1, (0,): 1}, [
+                    {(e[0],): c for e, c in (rest * q).terms} for q in (q1, q2)
+                ]
+            yield from heugcd(polys)
+
+        monkeypatch.setattr(rational, "_heugcd", short_first)
+        assert reduce_tuple(p1, (shared * rest * q1, shared * rest * q2)) == (q1, q2)
+
+    def test_budget_exhaustion_raises_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(rational, "_HEUGCD_TRIES", 0)
+        p1 = Space((1,))
+        x0, x1 = MultiHomPoly.variable(p1, 0, 0), MultiHomPoly.variable(p1, 0, 1)
+        g = x0 + x1.scale(2)
+        with pytest.raises(RuntimeError, match="heuristic gcd"):
+            reduce_tuple(p1, (g * (x0 + x1), g * (x0 + x1.scale(3))))
 
 
 class TestRationalMapDesc:
