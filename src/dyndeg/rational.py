@@ -27,6 +27,10 @@ slots: one big decimal integer per operand and one exact product, taken
 by libmpdec; exact quotients are packed and divided the same way, and
 everything stays exact.
 
+The iterates of a product of maps of P^1 never reduce, so they are not
+composed: their multidegree matrices are powers of the map's
+(iterate_multidegrees says why).
+
 Coordinates and charts: within factor i the variables are
 x_{i,0}, ..., x_{i,n_i}; affine charts set x_{i,0} = 1, so on (P^1)^k the
 affine value of coordinate i is component_i[1] / component_i[0].
@@ -44,7 +48,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
-from .intmat import IntMatrix, det, freeze, identity
+from .intmat import IntMatrix, det, freeze, identity, mat_mul
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
 
@@ -823,6 +827,10 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
 class IterateData:
     """Reduced iterate data: multidegrees of f^1..f^N and degree masses.
 
+    The multidegrees are those of the reduced iterates, whether read from
+    composed iterates or, for a product of maps of P^1, from powers of f's
+    multidegree matrix (see iterate_multidegrees).
+
     lambda1[n] = mass((f^n)^* omega) for n = 0..N (index 0 is the identity
     normalization).  truncated is set when the per-component total-degree
     cap stopped the iteration early; the fields then hold the computed
@@ -852,22 +860,46 @@ def iterate_multidegrees(
     n_max: int,
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
 ) -> IterateData:
-    """Compose f with itself up to n_max times, tracking reduced multidegrees.
+    """Reduced multidegrees of f, f^2, ..., f^n_max and their degree masses.
 
     Iteration stops early (truncated = True) as soon as any component's
     total degree would exceed max_total_degree; the computed prefix is
     returned.  lambda1[0] is the mass of omega itself.
+
+    Each iterate is composed with f and reduced, except for a product of
+    maps of P^1: every factor is P^1 and the multidegree matrix is
+    diagonal, M = diag(d_1, ..., d_k).  Then the multidegrees of f^n are
+    M^n, with no composition.  The diagonal test is enough because every
+    entry is multihomogeneous: a zero at (i, j) means component i uses none
+    of factor j's variables, so component i is a pair of binary forms in
+    factor i's two variables.  Reduced, the two forms are coprime, so they
+    have no common zero on P^1 and the factor map is a morphism, a constant
+    one when d_i = 0.  A composition of morphisms is a morphism, and a
+    morphism's tuple has no common factor, since a nonconstant one would
+    vanish at some point of P^1.  So no iterate of f reduces or collapses,
+    and component i of f^n has degree d_i^n in its own variables
+    (Silverman, The Arithmetic of Dynamical Systems, ch. 2).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     space = f.space
-    lambda1 = [mass(_pullback_class(space, identity(space.num_factors)))]
+    m = space.num_factors
+    lambda1 = [mass(_pullback_class(space, identity(m)))]
+    matrix = f.multidegree_matrix
+    morphism = all(n == 1 for n in space.factors) and all(
+        matrix[i][j] == 0 for i in range(m) for j in range(m) if i != j
+    )
     multidegrees: list[IntMatrix] = []
-    current = None
+    current = f
     truncated = False
     for n in range(1, n_max + 1):
-        current = f if current is None else compose(f, current)
-        degs = current.multidegree_matrix
+        if n == 1:
+            degs = matrix
+        elif morphism:
+            degs = mat_mul(matrix, degs)
+        else:
+            current = compose(f, current)
+            degs = current.multidegree_matrix
         if any(sum(row) > max_total_degree for row in degs):
             truncated = True
             break

@@ -537,9 +537,10 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from dyndeg import cli
 
-monomial, coprime, lyness = sys.argv[1:]
+monomial, coprime, skew, lyness = sys.argv[1:]
 runs = [[command, "--input", monomial] for command in ("degrees", "verify-product", "sequence")]
 runs += [["suite", "--n-max", "5"], ["sequence", "--input", coprime]]
+runs += [[command, "--input", skew] for command in ("degrees", "sequence")]
 runs += [[command, "--input", lyness] for command in ("degrees", "sequence")]
 codes = []
 for argv in runs:
@@ -567,13 +568,26 @@ class TestImportHygiene:
             {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1,
              "n_max": 12},
         )
-        # the map of P^1 whose iterates the mod-p certificate proves coprime
+        # a map of P^1: it iterates as powers of its degree, so only its
+        # construction meets the mod-p certificate
         coprime = write_job(
             tmp_path, "coprime.json",
             {"type": "rational", "factors": [1], "n_max": 5, "components": [[
                 {"coeffs": [[[2, 0], 1], [[0, 2], 3]]},
                 {"coeffs": [[[2, 0], 1], [[1, 1], 1], [[0, 2], -1]]},
             ]]},
+        )
+        # a skew product over that map: its fiber tuple uses base variables,
+        # so its iterates compose, and the mod-p certificate proves them coprime
+        skew = write_job(
+            tmp_path, "skew.json",
+            {"type": "rational", "factors": [1, 1], "fibration_dim": 1, "n_max": 4,
+             "components": [
+                 [{"coeffs": [[[2, 0, 0, 0], 1], [[0, 2, 0, 0], 3]]},
+                  {"coeffs": [[[2, 0, 0, 0], 1], [[1, 1, 0, 0], 1], [[0, 2, 0, 0], -1]]}],
+                 [{"coeffs": [[[1, 0, 2, 0], 1], [[0, 1, 0, 2], 2]]},
+                  {"coeffs": [[[1, 0, 1, 1], 1], [[0, 1, 2, 0], -1], [[0, 1, 0, 2], 1]]}],
+             ]},
         )
         # the Lyness map, whose iterates need the exact gcd
         lyness = write_job(
@@ -588,12 +602,12 @@ class TestImportHygiene:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
         result = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, monomial, coprime, lyness],
+            [sys.executable, "-c", _IMPORT_PROBE, monomial, coprime, skew, lyness],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "codes": [0, 0, 0, 3, 0, 0, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
+            "codes": [0, 0, 0, 3, 0, 0, 0, 0, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
             "sympy_after_jobs": False,
             "reduced": True,
             "sympy_after_gcd": False,

@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from dyndeg import rational
+from dyndeg import degrees, rational
 from dyndeg.cohomology import (
     CohClass,
     FibrationError,
     Space,
     base_pullback_power,
     kaehler_power,
+    mass,
     mul,
     pair,
 )
@@ -27,6 +28,7 @@ from dyndeg.monomial import MonomialMap, lambda_sequence
 from dyndeg.rational import (
     CompositionCollapseError,
     DominanceWarning,
+    IterateData,
     MultiHomPoly,
     RationalMapDesc,
     _certify_coprime,
@@ -415,15 +417,27 @@ class TestReduceTuple:
             raise AssertionError("a certified coprime tuple reached the exact gcd")
 
         monkeypatch.setattr(rational, "_divide_out_gcd", refuse)
+        certified = []
+        certify_coprime = rational._certify_coprime
+
+        def recording(active):
+            certified.append(certify_coprime(active))
+            return certified[-1]
+
+        monkeypatch.setattr(rational, "_certify_coprime", recording)
         p1 = Space((1,))
         f = RationalMapDesc(p1, ((
             poly(p1, {(2, 0): 1, (0, 2): 3}),
             poly(p1, {(2, 0): 1, (1, 1): 1, (0, 2): -1}),
         ),))
+        assert certified == [True]
+        # a map of P^1 iterates as powers of its degree: no iterate is reduced
         data = iterate_multidegrees(f, n_max=5)
         assert list(data.lambda1) == [2**m for m in range(6)]
+        assert certified == [True]
         # a skew product over that map: its fiber tuple uses base variables,
-        # so it is not a product of maps of P^1 and every iterate composes
+        # so it is not a product of maps of P^1, every iterate composes, and
+        # the certificate proves every composed tuple coprime
         skew = RationalMapDesc(P1xP1, (
             (
                 poly(P1xP1, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 3}),
@@ -434,11 +448,13 @@ class TestReduceTuple:
                 poly(P1xP1, {(1, 0, 1, 1): 1, (0, 1, 2, 0): -1, (0, 1, 0, 2): 1}),
             ),
         ), fibration_dim=1)
+        certified.clear()
         data = iterate_multidegrees(skew, n_max=4)
         assert data.multidegrees == (
             ((2, 0), (1, 2)), ((4, 0), (4, 4)), ((8, 0), (12, 8)), ((16, 0), (32, 16)),
         )
         assert data.lambda1 == (2, 5, 12, 28, 64)
+        assert certified == [True] * 6
 
 
 def _affine_mul(a, b):
@@ -806,6 +822,96 @@ class TestSkewProduct:
     def test_fiber_degree_sequence_stops_at_the_cap(self):
         # 3^5 = 243 > 100 stops the fifth iterate: the prefix n = 0..4 remains
         assert fiber_degree_sequence(skew_map(), 5, max_total_degree=100) == [1, 2, 4, 8, 16]
+
+
+def _composed_iterates(f, n_max, max_total_degree):
+    """Reference for iterate_multidegrees: compose every iterate, whatever
+    the map, and read its reduced multidegrees."""
+    m = f.space.num_factors
+    rows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    lambda1 = [mass(rational._pullback_class(f.space, rows))]
+    multidegrees = []
+    current = f
+    for n in range(1, n_max + 1):
+        if n > 1:
+            current = compose(f, current)
+        rows = current.multidegree_matrix
+        if any(sum(row) > max_total_degree for row in rows):
+            return IterateData(tuple(multidegrees), tuple(lambda1), True)
+        multidegrees.append(rows)
+        lambda1.append(mass(rational._pullback_class(f.space, rows)))
+    return IterateData(tuple(multidegrees), tuple(lambda1), False)
+
+
+def _draw_p1_product(data):
+    """A product of 1 to 3 maps of P^1, fibred or not: factor i's tuple
+    uses factor i's two variables only.  Degree 0 gives a constant map,
+    degree 1 a Moebius map (or a constant, when the two forms are
+    proportional); an entry may be zero or a monomial."""
+    k = data.draw(st.integers(1, 3))
+    space = Space((1,) * k)
+    components = []
+    for i in range(k):
+        degs = tuple(data.draw(st.sampled_from((1, 2, 3, 0))) if j == i else 0 for j in range(k))
+        entries = [
+            MultiHomPoly.zero(space) if data.draw(st.integers(0, 7)) == 7
+            else _draw_poly(data, space, degs)
+            for _ in range(2)
+        ]
+        if all(p.is_zero for p in entries):
+            entries[data.draw(st.integers(0, 1))] = _draw_poly(data, space, degs)
+        components.append(tuple(entries))
+    fibration_dim = data.draw(st.sampled_from([None, *range(1, k)]))
+    return RationalMapDesc(space, tuple(components), fibration_dim)
+
+
+class TestProductsOfMapsOfP1:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_composed_iterates(self, data):
+        f = _draw_p1_product(data)
+        n_max = data.draw(st.integers(1, 5))
+        cap = data.draw(st.integers(0, 40))
+        assert iterate_multidegrees(f, n_max, cap) == _composed_iterates(f, n_max, cap)
+        if f.fibration_dim is not None:
+            records, _ = degrees.rational_sequences(f, n_max, cap)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rational, "iterate_multidegrees", _composed_iterates)
+                assert records == degrees.rational_sequences(f, n_max, cap)[0]
+
+    def test_composes_only_maps_that_are_not_products(self, monkeypatch):
+        calls = []
+        original = rational.compose
+
+        def recording(f, g):
+            calls.append(f)
+            return original(f, g)
+
+        monkeypatch.setattr(rational, "compose", recording)
+        # the README skew product: every factor is P^1, but the fiber tuple
+        # uses the base variable, so M = ((3, 0), (1, 2)) is not diagonal and
+        # M^6 would have 665 where f^6 has 243
+        data = iterate_multidegrees(skew_map(), n_max=6, max_total_degree=1000)
+        assert data.multidegrees == (
+            ((3, 0), (1, 2)), ((9, 0), (3, 4)), ((27, 0), (9, 8)),
+            ((81, 0), (27, 16)), ((243, 0), (81, 32)), ((729, 0), (243, 64)),
+        )
+        assert len(calls) == 5
+        calls.clear()
+        space = Space((1, 1))
+        product = RationalMapDesc(space, (
+            (
+                poly(space, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 3}),
+                poly(space, {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): -1}),
+            ),
+            (
+                poly(space, {(0, 0, 3, 0): 1}),
+                poly(space, {(0, 0, 0, 3): 1, (0, 0, 3, 0): 2}),
+            ),
+        ))
+        data = iterate_multidegrees(product, n_max=6, max_total_degree=1000)
+        assert data.multidegrees == tuple(((2**n, 0), (0, 3**n)) for n in range(1, 7))
+        assert calls == []
 
 
 def _quotient_rule_dominance(f, rng):
