@@ -26,6 +26,7 @@ from .cohomology import (
     mass,
     mul,
     pair,
+    pairings,
     unit_class,
     zero_class,
 )

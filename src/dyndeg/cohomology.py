@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class SpaceMismatchError(ValueError):
@@ -246,27 +246,34 @@ def kaehler_power(space: Space, p: int) -> CohClass:
     return mul(kaehler_power(space, p - 1), kaehler_class(space))
 
 
-def pair(c1: CohClass, c2: CohClass) -> int:
-    """Intersection number of complementary-degree classes.
+def pairings(classes: Iterable[CohClass], weight: CohClass) -> list[int]:
+    """Intersection number of each class with one complementary-degree weight.
 
     Only the coefficient pairs on complementary monomials survive:
-    h^e . h^{n-e} integrates to 1 and everything else to 0.
+    h^e . h^{n-e} integrates to 1 and everything else to 0.  The weight's
+    coefficients are looked up by complement once for the whole table.
     """
-    if c1.space != c2.space:
-        raise SpaceMismatchError("cannot pair classes on different spaces")
-    space = c1.space
-    if c1.degree + c2.degree != space.dim:
-        raise DegreeRangeError(
-            f"pairing needs complementary degrees, got {c1.degree} + {c2.degree} != {space.dim}"
-        )
+    space = weight.space
     top = space.top
-    lookup = c2.coeffs
-    total = 0
-    for e, a in c1.terms:
-        complement = tuple(top[i] - e[i] for i in range(len(e)))
-        b = lookup.get(complement, 0)
-        total += a * b
-    return total
+    lookup = {tuple(n - x for n, x in zip(top, e)): b for e, b in weight.terms}
+    out = []
+    for c in classes:
+        if c.space != space:
+            raise SpaceMismatchError("cannot pair classes on different spaces")
+        if c.degree + weight.degree != space.dim:
+            raise DegreeRangeError(
+                f"pairing needs complementary degrees, "
+                f"got {c.degree} + {weight.degree} != {space.dim}"
+            )
+        out.append(sum(a * lookup.get(e, 0) for e, a in c.terms))
+    return out
+
+
+def pair(c1: CohClass, c2: CohClass) -> int:
+    """Intersection number of complementary-degree classes: pairings of the
+    one-class table [c1] against c2.  To pair many classes against one
+    weight, call pairings."""
+    return pairings([c1], c2)[0]
 
 
 def mass(c: CohClass) -> int:
@@ -309,8 +316,20 @@ def admissible_window(p: int, base: int, fiber: int) -> range:
 @lru_cache(maxsize=None)
 def alpha_weight(space: Space, p: int, j: int) -> CohClass:
     """(pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}: the weight alpha pairs a
-    degree-p class against (L the base dimension, k = dim X)."""
+    degree-p class against (L the base dimension, k = dim X).
+
+    The admissible window is max(0, p-k+L) <= j <= min(p, L); outside it the
+    exponents would be negative or exceed the base, and we raise instead of
+    zeroing.
+    """
+    if space.base_factors is None:
+        raise FibrationError("alpha needs a marked fibration")
     big_l = space.base_dim
+    window = admissible_window(p, big_l, space.dim - big_l)
+    if j not in window:
+        raise DegreeRangeError(
+            f"alpha index {j} outside admissible window {window.start}..{window.stop - 1}"
+        )
     return mul(
         base_pullback_power(space, big_l - j),
         kaehler_power(space, space.dim - big_l - p + j),
@@ -318,24 +337,13 @@ def alpha_weight(space: Space, p: int, j: int) -> CohClass:
 
 
 def alpha(c: CohClass, j: int) -> int:
-    """Mixed pairing <c, (pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}>.
+    """Mixed pairing <c, (pi^* omega_Y)^{L-j} . omega_X^{k-L-p+j}>, with L
+    the base dimension and p the degree of c; alpha_weight checks j.
 
-    Here L is the base dimension and p the degree of c.  The admissible
-    window is max(0, p-k+L) <= j <= min(p, L); outside it the exponents
-    would be negative or exceed the base, and we raise instead of zeroing.
     For effective c these numbers are nondecreasing in j because
     pi^* omega_Y <= omega_X coefficientwise.
     """
-    space = c.space
-    if space.base_factors is None:
-        raise FibrationError("alpha needs a marked fibration")
-    big_l = space.base_dim
-    window = admissible_window(c.degree, big_l, space.dim - big_l)
-    if j not in window:
-        raise DegreeRangeError(
-            f"alpha index {j} outside admissible window {window.start}..{window.stop - 1}"
-        )
-    return pair(c, alpha_weight(space, c.degree, j))
+    return pair(c, alpha_weight(c.space, c.degree, j))
 
 
 def effective_leq(c1: CohClass, c2: CohClass) -> bool:

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
-from .cohomology import CohClass, FibrationError, admissible_window, alpha, mass
+from .cohomology import (
+    CohClass,
+    FibrationError,
+    admissible_window,
+    alpha_weight,
+    kaehler_power,
+    pairings,
+)
 
 DEFAULT_ESTIMATE_TOL = 5e-2
 DEFAULT_EXACT_TOL = 1e-9
@@ -453,17 +460,18 @@ def _monomial_records(
     """The total records of the gradings in grading and, for a fibred f,
     every base and relative record, with the pullback tables they read.
 
-    Total and relative records of grading p read the same table: mass and
-    alpha(., 0) of each class.
+    Total and relative records of grading p pair the same table, against
+    the mass weight omega^{k-p} and against alpha_weight(., p, 0).
     """
-    k, l = f.dim, f.fibration_dim
+    k, l, space = f.dim, f.fibration_dim, f.space
     needed = set(grading) if l is None else set(grading) | set(range(k - l + 1))
     tables = {p: monomial.pullback_class_sequence(f, p, n_max) for p in sorted(needed)}
-    out = [_record("total", p, [mass(c) for c in tables[p]]) for p in grading]
+    out = [_record("total", p, pairings(tables[p], kaehler_power(space, k - p)))
+           for p in grading]
     if l is not None:
         out += [_record("base", j, monomial.c_p_sequence(f.base_block(), j, n_max))
                 for j in range(l + 1)]
-        out += [_record("relative", p, [alpha(c, 0) for c in tables[p]])
+        out += [_record("relative", p, pairings(tables[p], alpha_weight(space, p, 0)))
                 for p in range(k - l + 1)]
     return out, tables
 
@@ -483,7 +491,7 @@ def monomial_sequences(
     out, tables = _monomial_records(f, n_max, grading)
     if f.fibration_dim is not None:
         for p in grading:
-            mixed = {q: [alpha(c, p - q) for c in tables[p]]
+            mixed = {q: pairings(tables[p], alpha_weight(f.space, p, p - q))
                      for q in monomial.admissible_q(f, p)}
             out += [_record("mixed", p, values, q) for q, values in mixed.items()]
             out.append(_record("summed", p, [sum(column) for column in zip(*mixed.values())]))

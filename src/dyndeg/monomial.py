@@ -16,16 +16,19 @@ integers, multiplicative over subsets (Cauchy-Binet), and with n-th roots
 converging to the products of the p largest eigenvalue moduli.
 
 Every sequence here reads one table, the classes (f^n)^* omega^p for
-n = 0..N from pullback_class_sequence, and pairs each class against one
-fixed weight class: the total sequence takes its mass, the relative and
-mixed sequences take alpha(., j) (relative is j = 0, a_{q,p} is j = p - q),
-and the summed sequence b_p adds alpha(., j) over the admissible window.
+n = 0..N from pullback_class_sequence, and pairs the whole table against
+one fixed weight class with cohomology.pairings: the total sequence takes
+the mass weight omega^{k-p}, the relative and mixed sequences take
+alpha_weight(., p, j) (relative is j = 0, a_{q,p} is j = p - q), and the
+summed sequence b_p adds the mixed pairings over the admissible window.
 
 The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
 signed int with entry T in a fixed-width slot T, wide enough for a sign
-bit above the bound ||C_p(A)||_inf^n; an iterate adds small multiples of
-rows over the nonzero compound entries, and a row is read back by adding
-half a slot to every slot and splitting its bytes.
+bit above sum_S w_S * ||C_p(A)||_inf^n, the bound on any weighted column
+sum; an iterate adds small multiples of rows over the nonzero compound
+entries.  Rows are read with whole-int operations: the absolute value of
+every slot at once (bias, mask and complement), weighted and added into
+one accumulator that is split into slots once per iterate.
 
 When a fibration by the first l coordinates is marked, A must be block
 lower-triangular for the split {0..l-1} | {l..k-1}; the base block then
@@ -44,9 +47,9 @@ from .cohomology import (
     FibrationError,
     Space,
     admissible_window,
-    alpha,
+    alpha_weight,
     kaehler_power,
-    mass,
+    pairings,
 )
 from .intmat import IntMatrix, det, freeze, submatrix
 
@@ -153,16 +156,44 @@ def _subset_exponent(space: Space, subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if i in subset else 0 for i in range(space.num_factors))
 
 
+def _abs_column_sums(rows: list[int], weights: list[int], width: int) -> list[int]:
+    """sum_S w_S |x_{S,T}| for each slot T, where packed row R_S holds entry
+    x_{S,T} in slot T of W = width bytes, with w_S the weight of R_S.
+
+    Whole-int operations read every slot of a row at once.  With
+    half = 2^(8W-1) and bias holding half in every slot, u = R + bias holds
+    x + half in the slot of each entry x (-half <= x < half), so its top bit
+    is set exactly where x >= 0; neg has a 1 at the bottom of each slot with
+    x < 0; and |R| = (u ^ (bias - neg)) + neg clears the top bit of the
+    nonnegative slots and complements the negative ones
+    (half - 1 - (x + half) + 1 = -x).  The weighted |R_S| go into one
+    accumulator, split into slots once; the slots must hold every sum below
+    2^(8W) so that none carries into the next.
+    """
+    m, bits = len(rows), 8 * width
+    bias = int.from_bytes((1 << (bits - 1)).to_bytes(width, "little") * m, "little")
+    acc = 0
+    for weight, row in zip(weights, rows):
+        u = row + bias
+        neg = ((u & bias) ^ bias) >> (bits - 1)
+        acc += weight * ((u ^ (bias - neg)) + neg)
+    image = acc.to_bytes(m * width, "little")
+    return [int.from_bytes(image[at : at + width], "little") for at in range(0, m * width, width)]
+
+
 def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass]:
     """Classes of (f^n)^* omega^p for n = 0..n_max, via compound powers.
 
     Row S of C^n (C = C_p(A)) is kept packed as one signed int holding entry
-    T in slot T.  A slot has W bytes, enough for one sign bit above the bound
-    |(C^n)_{S,T}| <= ||C||_inf^n, the largest absolute row sum being
-    submultiplicative; so no slot overflows for n <= n_max.  One iterate is
-    R_S <- sum of C[S][J] * R_J over the nonzero entries of C.  To read row S,
-    a bias of half a slot is added to every slot, and each slot of the one
-    to_bytes image, less the half, is an entry.
+    T in slot T.  A slot has W bytes, enough for one sign bit above
+    sum_S w_S * ||C||_inf^n, which bounds every weighted column sum
+    sum_S w_S |(C^n)_{S,T}|: each entry is at most ||C^n||_inf <= ||C||_inf^n,
+    the largest absolute row sum being submultiplicative.  So for n <= n_max
+    neither an entry nor a column sum overflows its slot.  One iterate is
+    R_S <- sum of C[S][J] * R_J over the nonzero entries of C, and
+    _abs_column_sums reads the coefficients of its class off the rows.  The
+    subset exponents are validated once, as a class, and every iterate's
+    class is built from them.
     """
     if not 0 <= p <= f.dim:
         raise DegreeRangeError(f"degree {p} out of range 0..{f.dim}")
@@ -171,39 +202,32 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
     space = f.space
     op = compound(f.matrix, p)
     omega_p = kaehler_power(space, p).coeffs
-    weights = [omega_p[_subset_exponent(space, s)] for s in op.subsets]
     exponents = [_subset_exponent(space, s) for s in op.subsets]
-    m = len(op.subsets)
+    weights = [omega_p[e] for e in exponents]
+    CohClass.make(space, p, dict.fromkeys(exponents, 1))  # checks the exponents once
+    basis = sorted((e, t) for t, e in enumerate(exponents))  # CohClass term order
     norm = max(sum(abs(x) for x in row) for row in op.matrix)
-    width = (norm**n_max).bit_length() // 8 + 1
-    bits = 8 * width
-    half = 1 << (bits - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    width = (sum(weights) * norm**n_max).bit_length() // 8 + 1
     steps = [[(j, c) for j, c in enumerate(row) if c] for row in op.matrix]
-    rows = [1 << (bits * i) for i in range(m)]
-    slots = range(0, m * width, width)
+    rows = [1 << (8 * width * i) for i in range(len(exponents))]
     out: list[CohClass] = []
     for n in range(n_max + 1):
-        totals = [0] * m
-        for weight, row in zip(weights, rows):
-            image = (row + bias).to_bytes(m * width, "little")
-            for t, at in enumerate(slots):
-                totals[t] += weight * abs(int.from_bytes(image[at : at + width], "little") - half)
-        out.append(CohClass.make(space, p, dict(zip(exponents, totals))))
+        sums = _abs_column_sums(rows, weights, width)
+        out.append(CohClass(space, p, tuple((e, sums[t]) for e, t in basis if sums[t])))
         if n < n_max:
-            rows = [sum(c * rows[j] for j, c in terms) for terms in steps]
+            rows = [sum(c * rows[j] for j, c in nonzero) for nonzero in steps]
     return out
 
 
 def lambda_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """lambda_p(f^n) = mass((f^n)^* omega^p) for n = 0..n_max."""
-    return [mass(c) for c in pullback_class_sequence(f, p, n_max)]
+    return pairings(pullback_class_sequence(f, p, n_max), kaehler_power(f.space, f.dim - p))
 
 
 def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """Relative degree sequence alpha((f^n)^* omega^p, 0): the pullback class
     cut down by the full base power.  Defined for 0 <= p <= k - l."""
-    return [alpha(c, 0) for c in pullback_class_sequence(f, p, n_max)]
+    return pairings(pullback_class_sequence(f, p, n_max), alpha_weight(f.space, p, 0))
 
 
 def admissible_q(f: MonomialMap, p: int) -> range:
@@ -221,7 +245,7 @@ def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
     Admissible window: max(0, p-l) <= q <= min(p, k-l).  At q = p this is
     lambda_relative_sequence.
     """
-    return [alpha(c, p - q) for c in pullback_class_sequence(f, p, n_max)]
+    return pairings(pullback_class_sequence(f, p, n_max), alpha_weight(f.space, p, p - q))
 
 
 def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
@@ -230,8 +254,9 @@ def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     The n-th roots converge to the same limit as lambda_p's: the q-sum is a
     fixed positive reweighting of the same compound-power column data.
     """
-    qs = admissible_q(f, p)
-    return [sum(alpha(c, p - q) for q in qs) for c in pullback_class_sequence(f, p, n_max)]
+    table = pullback_class_sequence(f, p, n_max)
+    mixed = [pairings(table, alpha_weight(f.space, p, p - q)) for q in admissible_q(f, p)]
+    return [sum(column) for column in zip(*mixed)]
 
 
 def c_p_sequence(base_block, p: int, n_max: int) -> list[int]:

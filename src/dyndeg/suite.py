@@ -29,7 +29,15 @@ import random
 from dataclasses import dataclass
 
 from . import monomial, sampling
-from .cohomology import CohClass, admissible_window, alpha, degree_exponents, mass
+from .cohomology import (
+    CohClass,
+    admissible_window,
+    alpha,
+    alpha_weight,
+    degree_exponents,
+    kaehler_power,
+    pairings,
+)
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     Verdict,
@@ -144,6 +152,15 @@ def pairing_monotonicity_property(rng: random.Random) -> Verdict:
     return combine_rows("pairing-monotonicity", rows)
 
 
+def _total_and_summed(
+    f: monomial.MonomialMap, p: int, table: list[CohClass]
+) -> tuple[list[int], list[int]]:
+    """The total and summed mixed pairings of each degree-p class of table."""
+    total = pairings(table, kaehler_power(f.space, f.dim - p))
+    mixed = [pairings(table, alpha_weight(f.space, p, p - q)) for q in monomial.admissible_q(f, p)]
+    return total, [sum(column) for column in zip(*mixed)]
+
+
 def _pairing_weight_range(f: monomial.MonomialMap, p: int) -> tuple[int, int, int, int]:
     """Extreme weights the two pairings give to any single degree-p monomial.
 
@@ -151,13 +168,8 @@ def _pairing_weight_range(f: monomial.MonomialMap, p: int) -> tuple[int, int, in
     pullback coefficients with positive integer weights; the extremes give
     an exact sandwich between the two sequences at every n.
     """
-    qs = monomial.admissible_q(f, p)
-    lam_weights = []
-    summed_weights = []
-    for e in degree_exponents(f.space, p):
-        indicator = CohClass.make(f.space, p, {e: 1})
-        lam_weights.append(mass(indicator))
-        summed_weights.append(sum(alpha(indicator, p - q) for q in qs))
+    indicators = [CohClass.make(f.space, p, {e: 1}) for e in degree_exponents(f.space, p)]
+    lam_weights, summed_weights = _total_and_summed(f, p, indicators)
     return min(summed_weights), max(summed_weights), min(lam_weights), max(lam_weights)
 
 
@@ -186,8 +198,7 @@ def summed_sequence_convergence_property(rng: random.Random, n_max: int, tol: fl
             continue
         wmin, wmax, lmin, lmax = _pairing_weight_range(f, p)
         c = monomial.pullback_class_sequence(f, p, n_max)[n_max]
-        lam = mass(c)
-        summed = sum(alpha(c, p - q) for q in monomial.admissible_q(f, p))
+        [lam], [summed] = _total_and_summed(f, p, [c])
         sandwich = summed * lmin <= wmax * lam and summed * lmax >= wmin * lam
         gap = abs(math.log(summed) - math.log(lam)) / n_max
         bound = math.log(max(wmax / lmin, lmax / wmin))

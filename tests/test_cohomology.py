@@ -1,14 +1,19 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dyndeg import sampling
 from dyndeg.cohomology import (
     CohClass,
     DegreeRangeError,
     FibrationError,
     Space,
+    SpaceMismatchError,
+    admissible_window,
     alpha,
+    alpha_weight,
     base_pullback_power,
     degree_exponents,
     effective_leq,
@@ -18,6 +23,7 @@ from dyndeg.cohomology import (
     mass,
     mul,
     pair,
+    pairings,
     unit_class,
     zero_class,
 )
@@ -231,3 +237,37 @@ class TestBasePullbackAndAlpha:
         top = kaehler_power(P1P1_FIB, 2)
         with pytest.raises(DegreeRangeError):
             alpha(top, 0)  # degree 2 needs j >= p - (dim - base_dim) = 1
+
+
+class TestPairings:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_per_class_pair_mass_and_alpha(self, seed):
+        # effective classes with different supports, one table per weight
+        rng = random.Random(seed)
+        space = sampling.random_fibered_space(rng)
+        degree = rng.randint(0, space.dim)
+        table = [sampling.random_effective_class(rng, space, degree)
+                 for _ in range(rng.randint(0, 4))]
+        weight = sampling.random_effective_class(rng, space, space.dim - degree)
+        assert pairings(table, weight) == [pair(c, weight) for c in table]
+        omega = kaehler_power(space, space.dim - degree)
+        assert pairings(table, omega) == [mass(c) for c in table]
+        big_l = space.base_dim
+        for j in admissible_window(degree, big_l, space.dim - big_l):
+            assert pairings(table, alpha_weight(space, degree, j)) == [alpha(c, j) for c in table]
+
+    def test_error_paths(self):
+        c = CohClass.make(P1P1_FIB, 1, {(1, 0): 1})
+        w = kaehler_class(P1P1_FIB)
+        with pytest.raises(SpaceMismatchError):
+            pairings([c, kaehler_class(P1P1)], w)
+        with pytest.raises(DegreeRangeError):
+            pairings([c, unit_class(P1P1_FIB)], w)
+        with pytest.raises(FibrationError):
+            alpha_weight(P1P1, 1, 0)
+        with pytest.raises(DegreeRangeError):
+            alpha_weight(P1P1_FIB, 1, 2)
+        with pytest.raises(DegreeRangeError):
+            alpha_weight(P1P1_FIB, 2, 0)  # degree 2 needs j >= 1
+        assert pairings([], w) == []

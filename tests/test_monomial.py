@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dyndeg import intmat, monomial
 from dyndeg.cohomology import (
@@ -281,11 +281,51 @@ def test_packed_chain_matches_mat_mul_chain_and_minors(case):
     assert classes == _classes_from_powers(f, p, minors)
 
 
+def _per_entry_column_sums(rows, weights, width):
+    """The reader the packed one replaced: bias a row by half a slot, split
+    its bytes, and take each entry's absolute value on its own."""
+    m, half = len(rows), 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    sums = [0] * m
+    for w, row in zip(weights, rows):
+        image = (row + bias).to_bytes(m * width, "little")
+        for t in range(m):
+            sums[t] += w * abs(int.from_bytes(image[t * width:(t + 1) * width], "little") - half)
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_cases(), st.data())
+def test_packed_read_matches_per_entry_reader(case, data):
+    # a square table of entries up to the slot bound ||C||^n of (f, p, n),
+    # drawn towards +-bound, read at the width pullback_class_sequence uses
+    f, p, n = case
+    op = compound(f.matrix, p)
+    m = len(op.subsets)
+    bound = max(sum(abs(x) for x in row) for row in op.matrix) ** n
+    entry = st.one_of(st.sampled_from([bound, -bound, 0]), st.integers(-bound, bound))
+    power = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    exps = [tuple(int(i in s) for i in range(f.dim)) for s in op.subsets]
+    weights = [kaehler_power(f.space, p).coeffs[e] for e in exps]
+    width = (sum(weights) * bound).bit_length() // 8 + 1
+    rows = [sum(x << (8 * width * t) for t, x in enumerate(row)) for row in power]
+    sums = monomial._abs_column_sums(rows, weights, width)
+    assert sums == _per_entry_column_sums(rows, weights, width)
+    assert [CohClass.make(f.space, p, dict(zip(exps, sums)))] == _classes_from_powers(
+        f, p, [power])
+
+
 @pytest.mark.parametrize("matrix, p, n_max", [
     (((-3, 0), (1, 2)), 1, 7),     # (C^n)_00 = (-3)^n = -||C||^n at odd n
     (((-3, 0), (1, 2)), 2, 7),     # 1x1 compound (-6)
     (((-1,),), 1, 0),
     (((-255, 0), (0, 1)), 1, 1),   # |entry| = 255 needs a second byte for the sign
+    # p = k: the weighted column sum k! |det|^n meets the bound
+    # sum(weights) ||C||^n, and ||C||^n alone fits one byte less
+    (((-4, 0, 0), (0, 4, 0), (0, 0, 4)), 3, 1),            # 6 * |-64|
+    (((2, 0, 0), (0, 2, 0), (0, 0, -2)), 3, 2),            # 6 * |-8|^2
+    (((8, 0, 0, 0), (0, 8, 0, 0), (0, 0, 8, 0), (0, 0, 0, -32)), 4, 1),  # 24 * |-2^14|
+    (((-8, 0, 0), (0, 8, 0), (0, 0, 1)), 2, 3),            # diagonal at p = 2
 ])
 def test_packed_chain_at_the_slot_bound(matrix, p, n_max):
     f = MonomialMap(matrix)
