@@ -22,10 +22,14 @@ gcd over Z, so the output never depends on the point.  That gcd runs in
 the affine ring with one variable fewer per factor; it is the heuristic
 gcd (Char, Geddes and Gonnet 1989), and its result is proved, not trusted
 (see _divide_out_gcd for both).
-Large polynomial products use signed Kronecker packing into decimal
-slots: one big decimal integer per operand and one exact product, taken
-by libmpdec; exact quotients are packed and divided the same way, and
-everything stays exact.
+A product with a one-term operand is an exponent shift.  A product of
+many cross terms whose packed box is dense enough uses signed Kronecker
+packing into decimal slots: one big decimal integer per operand and one
+exact product, taken by libmpdec.  The box is sheared along the diagonal
+that fits the operands best and offset to their minima, so it covers
+their Newton polytopes rather than the bounding box of all exponents.
+Every other product goes through a dict.  Exact quotients are packed and
+divided the same way, in an unsheared box, and everything stays exact.
 
 The iterates of a product of maps of P^1 never reduce, so they are not
 composed: their multidegree matrices are powers of the map's
@@ -40,20 +44,27 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, det, freeze, identity, mat_mul
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
 
-# above this many cross terms, multiplication goes through Kronecker packing
-_KRON_THRESHOLD = 60_000
+# A product of more than _KRON_THRESHOLD cross terms goes through Kronecker
+# packing when its sheared box holds at most _KRON_SLOTS_PER_TERM slots per
+# cross term; any other product of two polynomials goes through a dict.
+# Measured on dense and sparse products: the packing wins on dense ones
+# from about 300 cross terms, and loses on sparse ones from about half a
+# slot per cross term, since it reads every slot.
+_KRON_THRESHOLD = 400
+_KRON_SLOTS_PER_TERM = 0.25
 
 # Kronecker products are exact decimal integers: this context never rounds
 # and traps if it would.  Only its methods are used, since the arithmetic
@@ -188,9 +199,16 @@ class MultiHomPoly:
             raise ValueError("cannot multiply polynomials on different spaces")
         if self.is_zero or other.is_zero:
             return MultiHomPoly.zero(self.space)
-        if len(self.terms) * len(other.terms) <= _KRON_THRESHOLD:
-            return _dict_mul(self, other)
-        return _kron_mul(self, other)
+        if other.is_monomial:
+            return _shift(self, *other.terms[0])
+        if self.is_monomial:
+            return _shift(other, *self.terms[0])
+        cross = len(self.terms) * len(other.terms)
+        if cross > _KRON_THRESHOLD:
+            box = _kron_box(self, other)
+            if box.slots <= _KRON_SLOTS_PER_TERM * cross:
+                return _kron_mul(self, other, box)
+        return _dict_mul(self, other)
 
     def power(self, exponent: int) -> "MultiHomPoly":
         if exponent < 0:
@@ -235,6 +253,13 @@ def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
             e = tuple(a + b for a, b in zip(e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
     return MultiHomPoly(p1.space, tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+
+
+def _shift(p: MultiHomPoly, exponents: tuple[int, ...], coefficient: int) -> MultiHomPoly:
+    """p times one monomial: adding an exponent vector keeps term order."""
+    return MultiHomPoly(p.space, tuple(
+        (tuple(map(operator.add, e, exponents)), c * coefficient) for e, c in p.terms
+    ))
 
 
 def _decimal_width(bound: int) -> int:
@@ -294,57 +319,120 @@ def _unpack(digits: str, width: int, slots: int) -> list[tuple[int, int]] | None
     return out
 
 
-def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
+class _KronBox(NamedTuple):
+    """Where the terms of a product go in its Kronecker packing.
+
+    keep lists the packed variables.  The last packed coordinate is sheared
+    to e[keep[-1]] + shear * e[keep[0]]; every packed coordinate is offset
+    by its minimum over the operand, lows[0] for p1 and lows[1] for p2, and
+    strides place the sheared offsets in `slots` slots, in term order.
+    """
+
+    keep: list[int]
+    shear: int
+    lows: tuple[list[int], list[int]]
+    strides: list[int]
+    slots: int
+
+
+def _kron_box(p1: MultiHomPoly, p2: MultiHomPoly) -> _KronBox:
+    """The smallest sheared box that holds the packed exponents of p1 p2.
+
+    The last variable of each factor block is left out -- multihomogeneity
+    fixes its exponent from the block degree -- and of the rest, u is the
+    first and v the last.  The shear v -> v + k u (k in 0, 1, -1) is
+    unimodular, so the sheared exponents of p1 p2 lie in the Minkowski sum
+    of the operands' sheared exponents, whose span in each coordinate is
+    the sum of the operands' spans.  One pass over each operand reads the
+    extremes of every packed coordinate and of v + u and v - u, and the k
+    whose sheared v spans least wins.  The skew iterates lie along such a
+    diagonal, and the shear about halves their boxes.  The strides keep u
+    most significant and v least, so slot order is lex order on
+    (u, ..., v + k u), which is term order.
+    """
+    layout = variable_layout(p1.space)
+    keep = [i for start, count in layout for i in range(start, start + count - 1)]
+    u, v = keep[0], keep[-1]
+    shears = (0, 1, -1) if u != v else (0,)
+    last = len(keep) - 1
+    lows: tuple[list[int], list[int]] = ([], [])
+    spans = [0] * (last + len(shears))
+    for p, low in zip((p1, p2), lows):
+        cols = list(zip(*(e for e, _ in p.terms)))
+        # the packed coordinates but v, then v + k u for every shear k
+        coords = [cols[i] for i in keep[:-1]] + [
+            cols[v] if k == 0 else
+            list(map(operator.add if k > 0 else operator.sub, cols[v], cols[u]))
+            for k in shears
+        ]
+        for j, w in enumerate(coords):
+            low.append(min(w))
+            spans[j] += max(w) - low[j]
+    best = min(range(len(shears)), key=lambda t: spans[last + t])
+    for low in lows:
+        low[last:] = [low[last + best]]
+    spans[last:] = [spans[last + best]]
+    strides = [0] * len(keep)
+    slots = 1
+    for j in range(len(keep) - 1, -1, -1):
+        strides[j] = slots
+        slots *= spans[j] + 1
+    return _KronBox(keep, shears[best], lows, strides, slots)
+
+
+def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly:
     """Exact multiplication via Kronecker packing into big decimal integers.
 
-    The last variable of each factor block is left out of the packing --
-    multihomogeneity fixes its exponent from the block degree -- so the
-    packed size is governed by the product multidegree rather than the
-    full exponent box.  A slot is `width` decimal digits, and 10**width
-    exceeds twice the largest product coefficient's magnitude.  Each
-    operand packs to one signed decimal and libmpdec takes one product, a
-    squaring when both operands are the same object; at these sizes it
-    multiplies by a number-theoretic transform.  The product's slots are
-    read back as balanced digits.  Every int <-> digit conversion goes
-    through decimal, which int_max_str_digits does not limit.
+    Each term goes to the slot of its sheared packed exponents, offset by
+    the operand's minima, in `box`, which _kron_box chose for p1 p2.  A
+    slot is `width` decimal digits, and 10**width exceeds twice the
+    largest product coefficient's magnitude.  Each operand packs to one
+    signed decimal and libmpdec takes one product, a squaring when both
+    operands are the same object; at these sizes it multiplies by a
+    number-theoretic transform.  The product's
+    slots are read back as balanced digits, in slot order, which is term
+    order: the offsets add back the sum of the minima, and v - k u undoes
+    the shear.  Every int <-> digit conversion goes through decimal, which
+    int_max_str_digits does not limit.
     """
     space = p1.space
     layout = variable_layout(space)
+    keep, shear, lows, strides, slots = box
     prod_deg = [a + b for a, b in zip(p1.multidegree, p2.multidegree)]
-    keep = [i for start, count in layout for i in range(start, start + count - 1)]
-    max_sum = [
-        max(e[i] for e, _ in p1.terms) + max(e[i] for e, _ in p2.terms) for i in keep
-    ]
-    strides = [0] * len(keep)
-    acc = 1
-    for j in range(len(keep) - 1, -1, -1):
-        strides[j] = acc
-        acc *= max_sum[j] + 1
-    slots = acc
     c1max = max(abs(c) for _, c in p1.terms)
     c2max = max(abs(c) for _, c in p2.terms)
     width = _decimal_width(min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2)
+    # v + k u has stride 1, so the shear adds k to the stride of u
+    pack_strides = [strides[0] + shear, *strides[1:]]
 
-    def pack(terms):
-        return _pack(
-            [(sum(e[i] * s for i, s in zip(keep, strides)), c) for e, c in terms], width
-        )
+    def pack(terms, low):
+        base = sum(x * s for x, s in zip(low, strides))
+        return _pack([
+            (sum(e[i] * s for i, s in zip(keep, pack_strides)) - base, c)
+            for e, c in terms
+        ], width)
 
-    a = pack(p1.terms)
-    b = a if p2 is p1 else pack(p2.terms)
+    a = pack(p1.terms, lows[0])
+    b = a if p2 is p1 else pack(p2.terms, lows[1])
     digits = str(_CTX.multiply(a, b))
     del a, b
-    acc_terms: dict[tuple[int, ...], int] = {}
+    placed = _unpack(digits, width, slots)
+    if placed is None:
+        raise AssertionError(f"Kronecker product overflows its box of {slots} slots")
+    low = [x + y for x, y in zip(*lows)]
+    u, v = keep[0], keep[-1]
     nvars = num_variables(space)
-    for idx, c in _unpack(digits, width, slots):
+    terms = []
+    for idx, c in placed:
         e = [0] * nvars
-        rem = idx
-        for j, i in enumerate(keep):
-            e[i], rem = divmod(rem, strides[j])
+        for i, s, m in zip(keep, strides, low):
+            x, idx = divmod(idx, s)
+            e[i] = x + m
+        e[v] -= shear * e[u]
         for f, (start, count) in enumerate(layout):
             e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
-        acc_terms[tuple(e)] = c
-    return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
+        terms.append((tuple(e), c))
+    return MultiHomPoly(space, tuple(terms))
 
 
 def _strip_monomial_and_content(

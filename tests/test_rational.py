@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import math
 import random
 import sys
 import warnings
@@ -106,8 +107,33 @@ def _monomials(space, multidegree):
         yield tuple(x for block in combo for x in block)
 
 
-def _draw_poly(data, space, multidegree, bound=9):
-    exps = list(_monomials(space, multidegree))
+def _packed_ends(space):
+    """u and v of _kron_box: the first and the last packed variable."""
+    layout = variable_layout(space)
+    keep = [i for start, count in layout for i in range(start, start + count - 1)]
+    return keep[0], keep[-1]
+
+
+def _draw_support(data, space):
+    """Which monomials an operand may use: all of them, a band along
+    v = u + c or along v = c - u (the diagonals a sheared box fits), or
+    those above a corner, so that the operand's minima are not zero."""
+    u, v = _packed_ends(space)
+    shape = data.draw(st.sampled_from(["all", "v ~ u", "v ~ -u", "corner"]))
+    c = data.draw(st.integers(-3, 8))
+    if shape == "v ~ u":
+        return lambda e: abs(e[v] - e[u] - c) <= 1
+    if shape == "v ~ -u":
+        return lambda e: abs(e[v] + e[u] - c) <= 1
+    if shape == "corner":
+        low = data.draw(st.integers(1, 3))
+        return lambda e: e[u] >= low and e[v] >= low
+    return lambda e: True
+
+
+def _draw_poly(data, space, multidegree, bound=9, support=None):
+    exps = [e for e in _monomials(space, multidegree) if support is None or support(e)]
+    assume(exps)
     coeffs = data.draw(
         st.lists(
             st.integers(-bound, bound).filter(bool),
@@ -117,6 +143,11 @@ def _draw_poly(data, space, multidegree, bound=9):
     )
     picked = data.draw(st.permutations(exps)) [: len(coeffs)]
     return poly(space, dict(zip(picked, coeffs)))
+
+
+def _kron(p1, p2):
+    """_kron_mul in the box MultiHomPoly.__mul__ would choose for it."""
+    return _kron_mul(p1, p2, rational._kron_box(p1, p2))
 
 
 def _bytes_kron_mul(p1, p2):
@@ -267,25 +298,60 @@ class TestMultiHomPoly:
         space = data.draw(st.sampled_from(
             [Space((1, 1)), P2, Space((1, 2)), Space((1, 1, 1))]))
         bound = data.draw(st.sampled_from([9, 2**100]))
-        degs1 = tuple(data.draw(st.integers(0, 6)) for _ in space.factors)
-        degs2 = tuple(data.draw(st.integers(0, 6)) for _ in space.factors)
-        p1 = _draw_poly(data, space, degs1, bound)
+        # P^1 x P^1 and P^2 reach degree 8, the wider spaces keep 6
+        top = 8 if num_variables(space) <= 4 else 6
+        degs1 = tuple(data.draw(st.integers(0, top)) for _ in space.factors)
+        degs2 = tuple(data.draw(st.integers(0, top)) for _ in space.factors)
+        support = _draw_support(data, space)
+        p1 = _draw_poly(data, space, degs1, bound, support)
         shape = data.draw(st.sampled_from(["square", "other", "negated", "difference"]))
         if shape == "square":
             # the same object on both sides takes the squaring path
             p2 = p1
         elif shape == "other":
-            p2 = _draw_poly(data, space, degs2, bound)
+            p2 = _draw_poly(data, space, degs2, bound, support)
         elif shape == "negated":
             # -(p1^2): the top slot is negative
             p2 = p1.scale(-1)
         else:
             # (p + q)(p - q) = p^2 - q^2 cancels whole slots
-            q = _draw_poly(data, space, degs1, bound)
+            q = _draw_poly(data, space, degs1, bound, support)
             p1, p2 = p1 + q, p1 + q.scale(-1)
             assume(not p1.is_zero and not p2.is_zero)
-        assert _kron_mul(p1, p2).terms == _dict_mul(p1, p2).terms
-        assert _kron_mul(p1, p2).terms == _bytes_kron_mul(p1, p2).terms
+        product = _kron(p1, p2).terms
+        assert product == _dict_mul(p1, p2).terms
+        assert product == _bytes_kron_mul(p1, p2).terms
+
+    @pytest.mark.parametrize("space", [P1xP1, P2, Space((1, 2)), Space((1, 1, 1))],
+                             ids=["P1xP1", "P2", "P1xP2", "P1xP1xP1"])
+    @pytest.mark.parametrize("support, shear", [
+        # v - u in {0, 1} spans 1 where v spans 6: v -> v - u
+        pytest.param(lambda e, u, v: 0 <= e[v] - e[u] <= 1, -1, id="v~u"),
+        # v + u in {5, 6}: v -> v + u
+        pytest.param(lambda e, u, v: 5 <= e[v] + e[u] <= 6, 1, id="v~-u"),
+        # minima 2 and 3 to offset, and no diagonal narrower than v
+        pytest.param(lambda e, u, v: e[u] >= 2 and e[v] >= 3, 0, id="corner"),
+    ])
+    def test_kronecker_shears_along_the_narrowest_diagonal(self, space, support, shear):
+        u, v = _packed_ends(space)
+        rng = random.Random(23)
+        p, q = (
+            poly(space, {
+                e: rng.choice((-1, 1)) * rng.randrange(1, 10**6)
+                for e in _monomials(space, (6,) * len(space.factors)) if support(e, u, v)
+            })
+            for _ in range(2)
+        )
+        assert rational._kron_box(p, q).shear == shear
+        for a, b in ((p, q), (p, p)):
+            assert _kron(a, b).terms == _dict_mul(a, b).terms
+
+    def test_kronecker_box_overflow_is_named(self):
+        space = Space((1, 1))
+        p = poly(space, {e: 1 + i for i, e in enumerate(_monomials(space, (3, 3)))})
+        box = rational._kron_box(p, p)
+        with pytest.raises(AssertionError, match="overflows its box of 1 slots"):
+            _kron_mul(p, p, box._replace(slots=1))
 
     def test_kronecker_ignores_int_max_str_digits(self):
         # ~700-digit coefficients make slots of ~1,400 digits; int <-> str
@@ -300,8 +366,8 @@ class TestMultiHomPoly:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            assert _kron_mul(p, p).terms == _dict_mul(p, p).terms
-            assert _kron_mul(p, q).terms == _dict_mul(p, q).terms
+            assert _kron(p, p).terms == _dict_mul(p, p).terms
+            assert _kron(p, q).terms == _dict_mul(p, q).terms
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -317,8 +383,8 @@ class TestMultiHomPoly:
         with decimal.localcontext() as ctx:
             ctx.prec = 5
             narrow = repr(ctx)
-            assert _kron_mul(p, p).terms == _dict_mul(p, p).terms
-            assert _kron_mul(p, q).terms == _dict_mul(p, q).terms
+            assert _kron(p, p).terms == _dict_mul(p, p).terms
+            assert _kron(p, q).terms == _dict_mul(p, q).terms
             # no operation ran in this context: no flag was raised in it
             assert repr(decimal.getcontext()) == narrow
         assert repr(decimal.getcontext()) == before
@@ -333,6 +399,76 @@ class TestMultiHomPoly:
         prod = p1 * p2
         if not prod.is_zero:
             assert prod.multidegree == tuple(a + b for a, b in zip(degs1, degs2))
+
+
+class TestMultiplicationRoute:
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The calls that reach _dict_mul and _kron_mul, by name."""
+        calls = []
+        for name in ("_dict_mul", "_kron_mul"):
+            def record(*args, _name=name, _original=getattr(rational, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(rational, name, record)
+        return calls
+
+    def test_monomial_operand_is_a_shift(self, routes):
+        space = Space((1, 1))
+        p = poly(space, {e: 2 * i - 11 for i, e in enumerate(_monomials(space, (2, 3)))})
+        m = poly(space, {(1, 2, 0, 3): -7})
+        for a, b in ((p, m), (m, p), (m, m), (m.scale(-1), p)):
+            assert (a * b).terms == _dict_mul(a, b).terms
+        assert routes == []
+
+    def test_sparse_wide_product_stays_off_the_packer(self, routes):
+        # 40 x 40 terms of bidegree (400, 400): a box of about 600,000
+        # slots for 1,600 cross terms
+        rng = random.Random(400)
+        picks = rng.sample(range(401 * 401), 80)
+        p, q = (
+            poly(P1xP1, {
+                (i // 401, 400 - i // 401, i % 401, 400 - i % 401): rng.randrange(-9, 10) or 1
+                for i in half
+            })
+            for half in (picks[:40], picks[40:])
+        )
+        assert len(p.terms) * len(q.terms) > rational._KRON_THRESHOLD
+        assert (p * q).terms == _dict_mul(p, q).terms
+        assert routes == ["_dict_mul"]
+
+    def test_dense_product_takes_the_packer(self, routes):
+        rng = random.Random(50)
+        p, q = (
+            poly(P1xP1, {e: rng.randrange(-99, 100) or 1 for e in _monomials(P1xP1, (4, 9))})
+            for _ in range(2)
+        )
+        assert len(p.terms) == len(q.terms) == 50
+        assert (p * q).terms == _dict_mul(p, q).terms
+        assert (p * p).terms == _dict_mul(p, p).terms
+        assert routes == ["_kron_mul", "_kron_mul"]
+
+    def test_sheared_box_halves_the_skew_iterates(self):
+        # a deterministic work count: the slots the n = 6 fiber entry's
+        # squaring packs, against the unsheared box from zero, for the
+        # bench-shaped skew product (x^2, y^2 + 2xy + 4x)
+        f = RationalMapDesc(P1xP1, (
+            (poly(P1xP1, {(2, 0, 0, 0): 1}), poly(P1xP1, {(0, 2, 0, 0): 1})),
+            (
+                poly(P1xP1, {(1, 0, 2, 0): 1}),
+                poly(P1xP1, {(1, 0, 0, 2): 1, (0, 1, 1, 1): 2, (0, 1, 2, 0): 4}),
+            ),
+        ), fibration_dim=1)
+        g = f
+        for _ in range(5):
+            g = compose(f, g)
+        entry = g.components[1][1]
+        u, v = _packed_ends(P1xP1)
+        unsheared = math.prod(2 * max(e[i] for e, _ in entry.terms) + 1 for i in (u, v))
+        box = rational._kron_box(entry, entry)
+        assert (len(entry.terms), unsheared) == (1088, 16383)
+        assert box.shear == 1
+        assert box.slots <= 0.51 * unsheared
 
 
 class TestReduceTuple:
