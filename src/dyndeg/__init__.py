@@ -80,7 +80,6 @@ from .rational import (
     check_dominance,
     compose,
     fiber_degree_sequence,
-    identity_map,
     iterate_multidegrees,
     monomial_to_rational,
     validate_skew,

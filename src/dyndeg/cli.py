@@ -23,6 +23,9 @@ Job files are JSON::
       "seed": 0, "p_range": [0, 2]         # optional seed / grading range
     }
 
+Job files and the job.components echo of the reduced map use full
+homogeneous exponent vectors; the engine stores them dehomogenized.
+
 The map must preserve a marked fibration_dim = l, 0 < l < factors: a block
 lower-triangular matrix, or base components in base variables only.  Every
 command exits 1 otherwise.
@@ -227,7 +230,7 @@ def load_job(path: str, args: argparse.Namespace) -> Job:
     else:
         echo["factors"] = list(factors)
         echo["components"] = [
-            [{"coeffs": [[list(e), c] for e, c in p.terms]} for p in comp]
+            [{"coeffs": [[list(e), c] for e, c in p.homogeneous_terms()]} for p in comp]
             for comp in the_map.components
         ]
     return Job(kind, the_map, n_max, float(tol), seed, p_range, echo)

@@ -10,18 +10,23 @@ non-obvious, so the cancellation step is the heart of this module.
 Substitution builds one table of the powers of g's components per
 composition f o g and shares it between all entries of f.
 
+A MultiHomPoly stores dehomogenized keys and its multidegree, and every
+operation below works on those keys.  Full vectors appear only at the
+edges: job input (make), the job echo, check_dominance and compose's
+read of f (homogeneous_terms).
+
 Cancellation is staged.  First the common *monomial* part and the integer
 content are stripped by direct exponent/coefficient arithmetic (this
 covers the classical examples, e.g. the Cremona involution).  A tuple with
 no monomial entry left then meets a mod-p coprimality certificate: per
-variable, univariate images at a point where the first entry keeps its
-leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).  It
-never certifies a tuple with a common factor; a coprime tuple fails it only
-at an unlucky point.  Only an uncertified tuple gets an exact multivariate
-gcd over Z, so the output never depends on the point.  That gcd runs in
-the affine ring with one variable fewer per factor; it is the heuristic
-gcd (Char, Geddes and Gonnet 1989), and its result is proved, not trusted
-(see _divide_out_gcd for both).
+stored variable, univariate images at a point where the first entry keeps
+its leading coefficient, folded through Euclid mod 2^61 - 1 (Brown 1971).
+It never certifies a tuple with a common factor; a coprime tuple fails it
+only at an unlucky point.  Only an uncertified tuple gets an exact
+multivariate gcd over Z, so the output never depends on the point.  That
+gcd runs on the stored keys; it is the heuristic gcd (Char, Geddes and
+Gonnet 1989), and its result is proved, not trusted (see _divide_out_gcd
+for both).
 A product with a one-term operand is an exponent shift.  A product of
 many cross terms whose packed box is dense enough uses signed Kronecker
 packing into decimal slots: one big decimal integer per operand and one
@@ -36,19 +41,20 @@ composed: their multidegree matrices are powers of the map's
 (iterate_multidegrees says why).
 
 Coordinates and charts: within factor i the variables are
-x_{i,0}, ..., x_{i,n_i}; affine charts set x_{i,0} = 1, so on (P^1)^k the
-affine value of coordinate i is component_i[1] / component_i[0].
+x_{i,0}, ..., x_{i,n_i}; check_dominance works in the chart x_{i,0} = 1,
+so on (P^1)^k the affine value of coordinate i is
+component_i[1] / component_i[0].
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import operator
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -83,35 +89,43 @@ class DominanceWarning(UserWarning):
     """The probabilistic Jacobian test found no full-rank point."""
 
 
+def _blocks(space: Space) -> list[tuple[int, int]]:
+    """(lo, hi): each factor block's slice of a stored exponent tuple."""
+    bounds = list(itertools.accumulate(space.factors, initial=0))
+    return list(zip(bounds, bounds[1:]))
+
+
 def variable_layout(space: Space) -> tuple[tuple[int, int], ...]:
     """(start, count) of each factor's homogeneous variable block."""
-    layout = []
-    start = 0
-    for n in space.factors:
-        layout.append((start, n + 1))
-        start += n + 1
-    return tuple(layout)
+    return tuple((lo + i, hi - lo + 1) for i, (lo, hi) in enumerate(_blocks(space)))
 
 
 def num_variables(space: Space) -> int:
-    return sum(n + 1 for n in space.factors)
+    return space.dim + space.num_factors
 
 
 @dataclass(frozen=True)
 class MultiHomPoly:
-    """A multihomogeneous polynomial with integer coefficients.
+    """A multihomogeneous polynomial with integer coefficients, stored
+    dehomogenized.
 
-    terms maps full exponent vectors (concatenated over the factor blocks)
-    to coefficients; within each block the exponent sum is the same for
-    every monomial (checked by make).  The zero polynomial has no terms and
-    multidegree None.
+    In block i every monomial has exponent sum multidegree[i], so its last
+    exponent follows from the others.  terms pairs the other exponents,
+    concatenated over the blocks (the image in the affine ring where each
+    block's last variable is 1), with nonzero coefficients, sorted: lex
+    order on these keys is lex order on the full vectors.  The zero
+    polynomial has no terms and multidegree None.  Only make validates.
     """
 
     space: Space
     terms: tuple[tuple[tuple[int, ...], int], ...]
+    multidegree: tuple[int, ...] | None
 
     @classmethod
     def make(cls, space: Space, coeffs) -> "MultiHomPoly":
+        """The polynomial of (full exponent vector, coefficient) pairs;
+        repeated vectors add up.  ValueError on a vector of the wrong
+        length, a negative exponent, or two multidegrees."""
         nvars = num_variables(space)
         cleaned: dict[tuple[int, ...], int] = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
@@ -122,46 +136,28 @@ class MultiHomPoly:
                 raise ValueError(f"exponent vector needs {nvars} entries, got {len(e)}")
             if any(x < 0 for x in e):
                 raise ValueError("exponents must be nonnegative")
-            if value == 0:
-                continue
-            cleaned[e] = cleaned.get(e, 0) + value
-        terms = tuple(sorted((e, c) for e, c in cleaned.items() if c != 0))
-        poly = cls(space, terms)
-        poly.multidegree  # validates block homogeneity
-        return poly
+            if value:
+                cleaned[e] = cleaned.get(e, 0) + value
+        layout = variable_layout(space)
+        terms = sorted((e, c) for e, c in cleaned.items() if c)
+        degrees = {tuple(sum(e[start : start + count]) for start, count in layout)
+                   for e, _ in terms}
+        if len(degrees) > 1:
+            raise ValueError("polynomial is not multihomogeneous")
+        return cls(space, tuple(
+            (tuple(x for start, count in layout for x in e[start : start + count - 1]), c)
+            for e, c in terms
+        ), degrees.pop() if degrees else None)
 
     @classmethod
     def zero(cls, space: Space) -> "MultiHomPoly":
-        return cls(space, ())
-
-    @classmethod
-    def variable(cls, space: Space, factor: int, index: int) -> "MultiHomPoly":
-        start, count = variable_layout(space)[factor]
-        if not 0 <= index < count:
-            raise ValueError(f"variable index {index} out of range for factor {factor}")
-        e = [0] * num_variables(space)
-        e[start + index] = 1
-        return cls.make(space, {tuple(e): 1})
+        return cls(space, (), None)
 
     @classmethod
     def constant(cls, space: Space, value: int) -> "MultiHomPoly":
         if value == 0:
             return cls.zero(space)
-        return cls.make(space, {(0,) * num_variables(space): value})
-
-    @cached_property
-    def multidegree(self) -> tuple[int, ...] | None:
-        if not self.terms:
-            return None
-        layout = variable_layout(self.space)
-        degs = None
-        for e, _ in self.terms:
-            d = tuple(sum(e[start : start + count]) for start, count in layout)
-            if degs is None:
-                degs = d
-            elif degs != d:
-                raise ValueError("polynomial is not multihomogeneous")
-        return degs
+        return cls(space, (((0,) * space.dim, value),), (0,) * space.num_factors)
 
     @property
     def is_zero(self) -> bool:
@@ -171,28 +167,20 @@ class MultiHomPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    @property
-    def total_degree(self) -> int:
-        d = self.multidegree
-        return 0 if d is None else sum(d)
-
-    def coeff(self, exponents: tuple[int, ...]) -> int:
-        return dict(self.terms).get(tuple(exponents), 0)
-
-    def __add__(self, other: "MultiHomPoly") -> "MultiHomPoly":
-        if self.space != other.space:
-            raise ValueError("cannot add polynomials on different spaces")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return MultiHomPoly.make(self.space, acc)
-
-    def __neg__(self) -> "MultiHomPoly":
-        return self.scale(-1)
+    def homogeneous_terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """terms with full exponent vectors, in the same order."""
+        blocks = _blocks(self.space)
+        return tuple(
+            (tuple(x for (lo, hi), d in zip(blocks, self.multidegree)
+                   for x in (*e[lo:hi], d - sum(e[lo:hi]))), c)
+            for e, c in self.terms
+        )
 
     def scale(self, factor: int) -> "MultiHomPoly":
-        return MultiHomPoly(self.space, tuple((e, factor * c) for e, c in self.terms)) \
-            if factor != 0 else MultiHomPoly.zero(self.space)
+        if factor == 0:
+            return MultiHomPoly.zero(self.space)
+        return MultiHomPoly(
+            self.space, tuple((e, factor * c) for e, c in self.terms), self.multidegree)
 
     def __mul__(self, other: "MultiHomPoly") -> "MultiHomPoly":
         if self.space != other.space:
@@ -200,9 +188,9 @@ class MultiHomPoly:
         if self.is_zero or other.is_zero:
             return MultiHomPoly.zero(self.space)
         if other.is_monomial:
-            return _shift(self, *other.terms[0])
+            return _shift(self, other)
         if self.is_monomial:
-            return _shift(other, *self.terms[0])
+            return _shift(other, self)
         cross = len(self.terms) * len(other.terms)
         if cross > _KRON_THRESHOLD:
             box = _kron_box(self, other)
@@ -225,25 +213,9 @@ class MultiHomPoly:
                 return result
             base = base * base
 
-    def derivative(self, var: int) -> "MultiHomPoly":
-        acc: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms:
-            if e[var] == 0:
-                continue
-            d = list(e)
-            d[var] -= 1
-            acc[tuple(d)] = acc.get(tuple(d), 0) + c * e[var]
-        return MultiHomPoly(self.space, tuple(sorted(acc.items())))
 
-    def evaluate(self, values: Sequence) -> Fraction | int:
-        total = 0
-        for e, c in self.terms:
-            term = c
-            for v, x in zip(e, values):
-                if v:
-                    term *= x ** v
-            total += term
-        return total
+def _product_degree(p1: MultiHomPoly, p2: MultiHomPoly) -> tuple[int, ...]:
+    return tuple(map(operator.add, p1.multidegree, p2.multidegree))
 
 
 def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
@@ -252,14 +224,16 @@ def _dict_mul(p1: MultiHomPoly, p2: MultiHomPoly) -> MultiHomPoly:
         for e2, c2 in p2.terms:
             e = tuple(a + b for a, b in zip(e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
-    return MultiHomPoly(p1.space, tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+    return MultiHomPoly(p1.space, tuple(sorted((e, c) for e, c in acc.items() if c != 0)),
+                        _product_degree(p1, p2))
 
 
-def _shift(p: MultiHomPoly, exponents: tuple[int, ...], coefficient: int) -> MultiHomPoly:
-    """p times one monomial: adding an exponent vector keeps term order."""
+def _shift(p: MultiHomPoly, monomial: MultiHomPoly) -> MultiHomPoly:
+    """p times a one-term polynomial: adding an exponent tuple keeps term order."""
+    ((exponents, coefficient),) = monomial.terms
     return MultiHomPoly(p.space, tuple(
         (tuple(map(operator.add, e, exponents)), c * coefficient) for e, c in p.terms
-    ))
+    ), _product_degree(p, monomial))
 
 
 def _decimal_width(bound: int) -> int:
@@ -322,13 +296,12 @@ def _unpack(digits: str, width: int, slots: int) -> list[tuple[int, int]] | None
 class _KronBox(NamedTuple):
     """Where the terms of a product go in its Kronecker packing.
 
-    keep lists the packed variables.  The last packed coordinate is sheared
-    to e[keep[-1]] + shear * e[keep[0]]; every packed coordinate is offset
-    by its minimum over the operand, lows[0] for p1 and lows[1] for p2, and
-    strides place the sheared offsets in `slots` slots, in term order.
+    The last stored coordinate is sheared to e[-1] + shear * e[0]; every
+    coordinate is offset by its minimum over the operand, lows[0] for p1
+    and lows[1] for p2, and strides place the sheared offsets in `slots`
+    slots, in term order.
     """
 
-    keep: list[int]
     shear: int
     lows: tuple[list[int], list[int]]
     strides: list[int]
@@ -336,33 +309,30 @@ class _KronBox(NamedTuple):
 
 
 def _kron_box(p1: MultiHomPoly, p2: MultiHomPoly) -> _KronBox:
-    """The smallest sheared box that holds the packed exponents of p1 p2.
+    """The smallest sheared box that holds the stored exponents of p1 p2.
 
-    The last variable of each factor block is left out -- multihomogeneity
-    fixes its exponent from the block degree -- and of the rest, u is the
-    first and v the last.  The shear v -> v + k u (k in 0, 1, -1) is
-    unimodular, so the sheared exponents of p1 p2 lie in the Minkowski sum
-    of the operands' sheared exponents, whose span in each coordinate is
-    the sum of the operands' spans.  One pass over each operand reads the
-    extremes of every packed coordinate and of v + u and v - u, and the k
-    whose sheared v spans least wins.  The skew iterates lie along such a
-    diagonal, and the shear about halves their boxes.  The strides keep u
-    most significant and v least, so slot order is lex order on
+    Every stored coordinate is packed; of them, u is the first and v the
+    last.  The shear v -> v + k u (k in 0, 1, -1) is unimodular, so the
+    sheared exponents of p1 p2 lie in the Minkowski sum of the operands'
+    sheared exponents, whose span in each coordinate is the sum of the
+    operands' spans.  One pass over each operand reads the extremes of
+    every coordinate and of v + u and v - u, and the k whose sheared v
+    spans least wins.  The skew iterates lie along such a diagonal, and
+    the shear about halves their boxes.  The strides keep u most
+    significant and v least, so slot order is lex order on
     (u, ..., v + k u), which is term order.
     """
-    layout = variable_layout(p1.space)
-    keep = [i for start, count in layout for i in range(start, start + count - 1)]
-    u, v = keep[0], keep[-1]
-    shears = (0, 1, -1) if u != v else (0,)
-    last = len(keep) - 1
+    nvars = p1.space.dim
+    shears = (0, 1, -1) if nvars > 1 else (0,)
+    last = nvars - 1
     lows: tuple[list[int], list[int]] = ([], [])
     spans = [0] * (last + len(shears))
     for p, low in zip((p1, p2), lows):
         cols = list(zip(*(e for e, _ in p.terms)))
-        # the packed coordinates but v, then v + k u for every shear k
-        coords = [cols[i] for i in keep[:-1]] + [
-            cols[v] if k == 0 else
-            list(map(operator.add if k > 0 else operator.sub, cols[v], cols[u]))
+        u, v = cols[0], cols[-1]
+        # the coordinates but v, then v + k u for every shear k
+        coords = cols[:-1] + [
+            v if k == 0 else list(map(operator.add if k > 0 else operator.sub, v, u))
             for k in shears
         ]
         for j, w in enumerate(coords):
@@ -372,12 +342,12 @@ def _kron_box(p1: MultiHomPoly, p2: MultiHomPoly) -> _KronBox:
     for low in lows:
         low[last:] = [low[last + best]]
     spans[last:] = [spans[last + best]]
-    strides = [0] * len(keep)
+    strides = [0] * nvars
     slots = 1
-    for j in range(len(keep) - 1, -1, -1):
+    for j in range(last, -1, -1):
         strides[j] = slots
         slots *= spans[j] + 1
-    return _KronBox(keep, shears[best], lows, strides, slots)
+    return _KronBox(shears[best], lows, strides, slots)
 
 
 def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly:
@@ -395,10 +365,7 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly
     the shear.  Every int <-> digit conversion goes through decimal, which
     int_max_str_digits does not limit.
     """
-    space = p1.space
-    layout = variable_layout(space)
-    keep, shear, lows, strides, slots = box
-    prod_deg = [a + b for a, b in zip(p1.multidegree, p2.multidegree)]
+    shear, lows, strides, slots = box
     c1max = max(abs(c) for _, c in p1.terms)
     c2max = max(abs(c) for _, c in p2.terms)
     width = _decimal_width(min(len(p1.terms), len(p2.terms)) * c1max * c2max * 2)
@@ -408,8 +375,7 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly
     def pack(terms, low):
         base = sum(x * s for x, s in zip(low, strides))
         return _pack([
-            (sum(e[i] * s for i, s in zip(keep, pack_strides)) - base, c)
-            for e, c in terms
+            (sum(x * s for x, s in zip(e, pack_strides)) - base, c) for e, c in terms
         ], width)
 
     a = pack(p1.terms, lows[0])
@@ -420,43 +386,41 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly
     if placed is None:
         raise AssertionError(f"Kronecker product overflows its box of {slots} slots")
     low = [x + y for x, y in zip(*lows)]
-    u, v = keep[0], keep[-1]
-    nvars = num_variables(space)
     terms = []
     for idx, c in placed:
-        e = [0] * nvars
-        for i, s, m in zip(keep, strides, low):
+        e = []
+        for s, m in zip(strides, low):
             x, idx = divmod(idx, s)
-            e[i] = x + m
-        e[v] -= shear * e[u]
-        for f, (start, count) in enumerate(layout):
-            e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
+            e.append(x + m)
+        e[-1] -= shear * e[0]
         terms.append((tuple(e), c))
-    return MultiHomPoly(space, tuple(terms))
+    return MultiHomPoly(p1.space, tuple(terms), _product_degree(p1, p2))
 
 
 def _strip_monomial_and_content(
     polys: Sequence[MultiHomPoly],
 ) -> tuple[MultiHomPoly, ...]:
+    """Divide the common monomial and the integer content out of a tuple
+    whose nonzero entries share one multidegree d.
+
+    A stored variable's common power is its least exponent.  The common
+    power of block i's last variable is d_i minus the largest block-i sum
+    of the stored exponents, since the last exponent is d_i minus that sum.
+    """
     active = [p for p in polys if not p.is_zero]
-    nvars = len(active[0].terms[0][0])
-    mins = [min(e[v] for p in active for e, _ in p.terms) for v in range(nvars)]
-    content = 0
-    for p in active:
-        for _, c in p.terms:
-            content = math.gcd(content, c)
-    if all(m == 0 for m in mins) and content == 1:
+    degree = active[0].multidegree
+    cols = list(zip(*(e for p in active for e, _ in p.terms)))
+    mins = [min(col) for col in cols]
+    blocks = _blocks(active[0].space)
+    lasts = [d - max(map(sum, zip(*cols[lo:hi]))) for d, (lo, hi) in zip(degree, blocks)]
+    content = math.gcd(*(c for p in active for _, c in p.terms))
+    if not any(mins) and not any(lasts) and content == 1:
         return tuple(polys)
-    out = []
-    for p in polys:
-        if p.is_zero:
-            out.append(p)
-            continue
-        terms = tuple(
-            (tuple(x - m for x, m in zip(e, mins)), c // content) for e, c in p.terms
-        )
-        out.append(MultiHomPoly(p.space, terms))
-    return tuple(out)
+    degree = tuple(d - sum(mins[lo:hi]) - last
+                   for d, (lo, hi), last in zip(degree, blocks, lasts))
+    return tuple(p if p.is_zero else MultiHomPoly(p.space, tuple(
+        (tuple(map(operator.sub, e, mins)), c // content) for e, c in p.terms
+    ), degree) for p in polys)
 
 
 # a prime: images mod it are exact field arithmetic on Python ints
@@ -516,13 +480,18 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
 def _certify_coprime(active: Sequence[MultiHomPoly]) -> bool:
     """True only if the nonzero entries have no common factor over Z.
 
-    For each variable v of the first entry P_1, the other variables are set
-    to a point mod p where lc_v(P_1) does not vanish, and the univariate
-    images are folded through Euclid mod p.  A common factor G over Z
-    divides P_1, so lc_v(G) does not vanish there either: G's image keeps
-    degree deg_v G and divides every image.  Constant gcds for every v thus
-    rule out every nonconstant G (the content is already stripped).  False
-    means "not certified", not "not coprime".
+    It reads the stored keys, the entries' images in the affine ring where
+    each block's last variable is 1.  For each variable v of the first
+    entry P_1, the other variables are set to a point mod p where lc_v(P_1)
+    does not vanish, and the univariate images are folded through Euclid
+    mod p.  A common factor G over Z divides P_1, so lc_v(G) does not
+    vanish there either: G's image keeps degree deg_v G and divides every
+    image.  Constant gcds for every v thus rule out every nonconstant
+    affine G (the content is already stripped).  That covers every
+    homogeneous common factor too: after the strip no variable divides the
+    gcd, so a nonconstant homogeneous factor is not a monomial in the last
+    variables, and its affine image is nonconstant.  False means "not
+    certified", not "not coprime".
     """
     first = active[0]
     nvars = len(first.terms[0][0])
@@ -548,8 +517,9 @@ def _certify_coprime(active: Sequence[MultiHomPoly]) -> bool:
     return True
 
 
-# An affine polynomial is a dict from exponent tuples to nonzero ints; its
-# leading term is the largest exponent tuple (lex order).
+# An affine polynomial is a dict from exponent tuples to nonzero ints, as
+# dict(p.terms) of a stored polynomial p; its leading term is the largest
+# exponent tuple (lex order).
 Affine = dict[tuple[int, ...], int]
 
 
@@ -715,15 +685,14 @@ def _heugcd(polys: list[Affine]) -> Iterator[tuple[Affine, list[Affine]]]:
 def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
     """Divide the exact gcd over Z out of every entry of a stripped tuple.
 
-    The gcd is taken in the affine ring, where the last variable of each
-    factor block is set to 1: one variable fewer per factor.  That is
-    exact.  Setting a variable to 1 respects products, and it loses nothing
-    on a polynomial that the variable does not divide: homogenizing the
-    image to its largest block degrees gives it back.  After the strip no
-    variable divides every entry, so none divides the gcd, and the affine
-    gcd is the image of the homogeneous one.  So the gcd's degree in block
-    i is the largest block-i exponent sum of its affine terms, and each
-    quotient is homogenized back to its own multidegree, its entry's minus
+    The gcd is taken on the stored keys, in the affine ring where the last
+    variable of each factor block is 1.  That is exact.  Setting a variable
+    to 1 respects products, and it loses nothing on a polynomial that the
+    variable does not divide: the stored keys and the multidegree give it
+    back.  After the strip no variable divides every entry, so none
+    divides the gcd, and the affine gcd is the image of the homogeneous
+    one.  So the gcd's degree in block i is the largest block-i sum of its
+    affine exponents, and each quotient's multidegree is its entry's minus
     the gcd's.  The quotients need no second strip: a variable or an
     integer dividing all of them would divide every entry.
 
@@ -734,33 +703,18 @@ def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiH
     out nothing is skipped.  RuntimeError when the heuristic runs out of
     evaluation points.
     """
-    keep: list[int] = []  # the variables left after dehomogenizing
-    spans = []  # block i's slice of an affine exponent vector
-    for start, count in variable_layout(space):
-        spans.append((len(keep), len(keep) + count - 1))
-        keep.extend(range(start, start + count - 1))
-
-    def homogenize(affine, multidegree) -> MultiHomPoly:
-        terms = []
-        for a, c in affine.items():
-            e = []
-            for (lo, hi), d in zip(spans, multidegree):
-                e.extend(a[lo:hi])
-                e.append(d - sum(a[lo:hi]))
-            terms.append((tuple(e), c))
-        return MultiHomPoly(space, tuple(sorted(terms)))
-
     active = [i for i, p in enumerate(polys) if not p.is_zero]
-    entries = [{tuple(e[i] for i in keep): c for e, c in polys[i].terms} for i in active]
-    gcd_deg = [0] * len(spans)
+    degree = polys[active[0]].multidegree
+    blocks = _blocks(space)
+    entries = [dict(polys[i].terms) for i in active]
     out = list(polys)
     while True:
         h, entries = next(
             (h, q) for h, q in _heugcd(entries) if len(h) > 1 or any(next(iter(h)))
         )
-        gcd_deg = [g + max(sum(a[lo:hi]) for a in h) for g, (lo, hi) in zip(gcd_deg, spans)]
+        degree = tuple(d - max(sum(e[lo:hi]) for e in h) for d, (lo, hi) in zip(degree, blocks))
         for i, q in zip(active, entries):
-            out[i] = homogenize(q, [d - g for d, g in zip(polys[i].multidegree, gcd_deg)])
+            out[i] = MultiHomPoly(space, tuple(sorted(q.items())), degree)
         if _certify_coprime([out[i] for i in active]):
             return tuple(out)
 
@@ -768,16 +722,20 @@ def _divide_out_gcd(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiH
 def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomPoly, ...]:
     """Canonical reduced form of a component tuple.
 
-    Strips the common monomial factor and integer content directly.  When
-    at least two nonzero entries remain and none of them is a monomial (a
+    ValueError unless the nonzero entries share one multidegree.  Strips
+    the common monomial factor and integer content directly.  When at
+    least two nonzero entries remain and none of them is a monomial (a
     monomial entry would force any common factor to be a monomial, which
     is already stripped), the mod-p certificate runs first and only a tuple
     it cannot certify coprime gets an exact gcd.  The sign is normalized so
     the first nonzero entry has positive leading coefficient.
     """
     polys = tuple(polys)
-    if all(p.is_zero for p in polys):
+    degrees = {p.multidegree for p in polys if not p.is_zero}
+    if not degrees:
         raise CompositionCollapseError("component tuple is identically zero")
+    if len(degrees) != 1:
+        raise ValueError("tuple entries have inconsistent multidegrees")
     polys = _strip_monomial_and_content(polys)
     active = [p for p in polys if not p.is_zero]
     if len(active) == 1:
@@ -790,9 +748,6 @@ def reduce_tuple(space: Space, polys: Sequence[MultiHomPoly]) -> tuple[MultiHomP
     first = next(p for p in polys if not p.is_zero)
     if first.terms[-1][1] < 0:
         polys = tuple(p.scale(-1) for p in polys)
-    degs = {p.multidegree for p in polys if not p.is_zero}
-    if len(degs) != 1:
-        raise ValueError("tuple entries have inconsistent multidegrees")
     return polys
 
 
@@ -860,21 +815,15 @@ class RationalMapDesc:
         return self.space.with_base(self.fibration_dim)
 
 
-def identity_map(space: Space, fibration_dim: int | None = None) -> RationalMapDesc:
-    components = tuple(
-        tuple(MultiHomPoly.variable(space, i, j) for j in range(n + 1))
-        for i, n in enumerate(space.factors)
-    )
-    return RationalMapDesc(space, components, fibration_dim)
-
-
 def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
     """f after g, in reduced form.
 
-    Substitutes g's components into f's and cancels the common factor of
+    Substitutes g's components into f's homogeneous view, where each full
+    exponent picks one of g's components, and cancels the common factor of
     each resulting tuple.  Every entry of f reads one table of the powers
     of g's components, and each monomial of an entry adds its coefficient
-    times the product of its powers into one dict.  Raises
+    times the product of its powers into one dict; the multidegree of
+    tuple i is row i of f's matrix times g's.  Raises
     CompositionCollapseError when a whole tuple vanishes (the composition's
     image meets the indeterminacy locus of f along the image of g).  The
     result keeps f's fibration, and its construction checks it again.
@@ -886,11 +835,13 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
     images = [p for comp in g.components for p in comp]
     powers: dict[tuple[int, int], MultiHomPoly] = {}
     new_components = []
-    for i, comp in enumerate(f.components):
+    for i, (comp, row) in enumerate(zip(f.components, f.multidegree_matrix)):
+        degree = tuple(sum(d * g_row[j] for d, g_row in zip(row, g.multidegree_matrix))
+                       for j in range(space.num_factors))
         entries = []
         for p in comp:
             acc: dict[tuple[int, ...], int] = {}
-            for exponents, coefficient in p.terms:
+            for exponents, coefficient in p.homogeneous_terms():
                 term = None
                 for v, e in enumerate(exponents):
                     if e:
@@ -901,8 +852,8 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
                             break
                 for m, c in (one if term is None else term).terms:
                     acc[m] = acc.get(m, 0) + coefficient * c
-            entries.append(MultiHomPoly(space, tuple(sorted(
-                (m, c) for m, c in acc.items() if c != 0))))
+            terms = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+            entries.append(MultiHomPoly(space, terms, degree if terms else None))
         if all(p.is_zero for p in entries):
             raise CompositionCollapseError(
                 f"component {i} vanishes identically after composition"
@@ -997,28 +948,33 @@ def iterate_multidegrees(
 
 
 def validate_skew(f: RationalMapDesc) -> bool:
-    """True iff the base components only use base-factor variables."""
+    """True iff the base components only use base-factor variables.
+
+    A multihomogeneous entry uses none of factor j's variables exactly when
+    its degree in factor j is 0, so the fiber degrees of every nonzero base
+    entry must be 0.
+    """
     if f.fibration_dim is None:
         raise FibrationError("validate_skew needs fibration_dim set")
     l = f.fibration_dim
-    layout = variable_layout(f.space)
-    fiber_start = layout[l][0]
-    for comp in f.components[:l]:
-        for p in comp:
-            for e, _ in p.terms:
-                if any(x != 0 for x in e[fiber_start:]):
-                    return False
-    return True
+    return not any(
+        any(p.multidegree[l:]) for comp in f.components[:l] for p in comp if not p.is_zero
+    )
 
 
 def base_map(f: RationalMapDesc) -> RationalMapDesc:
-    """The induced self-map of the base (first l factors) of a skew product."""
+    """The induced self-map of the base (first l factors) of a skew product.
+
+    Base entries have fiber degree 0, so their stored fiber exponents are 0
+    and cutting them off keeps the term order.
+    """
     l = f.fibered_space.base_factors
     base_space = Space(f.space.factors[:l])
-    keep = sum(n + 1 for n in f.space.factors[:l])
+    keep = base_space.dim
     components = tuple(
         tuple(
-            MultiHomPoly.make(base_space, {e[:keep]: c for e, c in p.terms})
+            MultiHomPoly(base_space, tuple((e[:keep], c) for e, c in p.terms),
+                         None if p.is_zero else p.multidegree[:l])
             for p in comp
         )
         for comp in f.components[:l]
@@ -1046,6 +1002,18 @@ def fiber_degree_sequence(
 
 _DOMINANCE_POINTS = 3
 
+# MultiHomPoly.homogeneous_terms, or a derivative of it
+Terms = Sequence[tuple[tuple[int, ...], int]]
+
+
+def _derivative(terms: Terms, var: int) -> Terms:
+    """d/dx_var of homogeneous terms; distinct exponents stay distinct."""
+    return [(e[:var] + (e[var] - 1,) + e[var + 1 :], c * e[var]) for e, c in terms if e[var]]
+
+
+def _evaluate(terms: Terms, point: Sequence[int]) -> int:
+    return sum(c * math.prod(x**k for x, k in zip(point, e) if k) for e, c in terms)
+
 
 def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> bool:
     """Probabilistic dominance test via an exact Jacobian determinant at random points.
@@ -1058,14 +1026,17 @@ def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> boo
     the Jacobian is square of size dim, and it has full rank exactly when
     its determinant is nonzero.  Full rank at any point certifies
     dominance; if no tested point has full rank, a DominanceWarning is
-    emitted (never an error -- the test is one-sided).
+    emitted (never an error -- the test is one-sided).  The entries are
+    read through their homogeneous views, in the chart x_{i,0} = 1.
     """
     rng = rng or random.Random(1729)
     space = f.space
     layout = variable_layout(space)
     affine_vars = [start + j for start, count in layout for j in range(1, count)]
     components = [
-        [(p, [p.derivative(v) for v in affine_vars]) for p in comp] for comp in f.components
+        [(t, [_derivative(t, v) for v in affine_vars])
+         for t in map(MultiHomPoly.homogeneous_terms, comp)]
+        for comp in f.components
     ]
     for _ in range(_DOMINANCE_POINTS):
         for _attempt in range(40):
@@ -1074,16 +1045,16 @@ def check_dominance(f: RationalMapDesc, rng: random.Random | None = None) -> boo
                 point[start] = 1
                 for j in range(1, count):
                     point[start + j] = rng.randint(-9, 9)
-            values = [[p.evaluate(point) for p, _ in comp] for comp in components]
+            values = [[_evaluate(t, point) for t, _ in comp] for comp in components]
             if not all(any(vals) for vals in values):
                 continue
             jac = []
             for comp, vals in zip(components, values):
                 pivot = max(range(len(vals)), key=lambda j: abs(vals[j]))
-                q, dq = vals[pivot], [d.evaluate(point) for d in comp[pivot][1]]
+                q, dq = vals[pivot], [_evaluate(d, point) for d in comp[pivot][1]]
                 for j, (_, dp) in enumerate(comp):
                     if j != pivot:
-                        jac.append([d.evaluate(point) * q - vals[j] * c
+                        jac.append([_evaluate(d, point) * q - vals[j] * c
                                     for d, c in zip(dp, dq)])
             if det(jac) != 0:
                 return True
@@ -1101,26 +1072,15 @@ def monomial_to_rational(matrix, fibration_dim: int | None = None) -> RationalMa
 
     Coordinate i with exponent row a: the affine monomial prod x_j^{a_j}
     homogenizes to the pair (prod x_{j,0}^{a_j^+} x_{j,1}^{a_j^-},
-    prod x_{j,0}^{a_j^-} x_{j,1}^{a_j^+}), one P^1 pair per coordinate.
+    prod x_{j,0}^{a_j^-} x_{j,1}^{a_j^+}), one P^1 pair per coordinate, of
+    multidegree |a|.  Their stored keys are the exponents of the x_{j,0}.
     """
     mat = freeze(matrix)
-    k = len(mat)
-    space = Space((1,) * k)
-    components = []
-    for i in range(k):
-        denom = [0] * (2 * k)
-        numer = [0] * (2 * k)
-        for j, a in enumerate(mat[i]):
-            if a >= 0:
-                denom[2 * j] += a
-                numer[2 * j + 1] += a
-            else:
-                denom[2 * j + 1] += -a
-                numer[2 * j] += -a
-        components.append(
-            (
-                MultiHomPoly.make(space, {tuple(denom): 1}),
-                MultiHomPoly.make(space, {tuple(numer): 1}),
-            )
-        )
-    return RationalMapDesc(space, tuple(components), fibration_dim)
+    space = Space((1,) * len(mat))
+    components = tuple(
+        tuple(MultiHomPoly(space, ((tuple(max(sign * a, 0) for a in row), 1),),
+                           tuple(map(abs, row)))
+              for sign in (1, -1))
+        for row in mat
+    )
+    return RationalMapDesc(space, components, fibration_dim)

@@ -449,6 +449,20 @@ class TestErrorHandling:
         assert code == 1
         assert not out and f"component 0[0]: {message}" in err
 
+    @pytest.mark.parametrize("pair", [
+        # (x0^2, x1): monomials, which the strip alone would reduce
+        [[[[2, 0], 1]], [[[0, 1], 1]]],
+        # (x0^2 + x0 x1, x1 + 3 x0): no monomial entry, the gcd route's shape
+        [[[[2, 0], 1], [[1, 1], 1]], [[[0, 1], 1], [[1, 0], 3]]],
+    ], ids=["monomials", "binomials"])
+    def test_inconsistent_multidegrees_exit_one(self, capsys, tmp_path, pair):
+        payload = {"type": "rational", "factors": [1], "n_max": 3,
+                   "components": [[{"coeffs": line} for line in pair]]}
+        job = write_job(tmp_path, "inconsistent.json", payload)
+        code, out, err = run(capsys, "sequence", "--input", job)
+        assert code == 1
+        assert not out and "tuple entries have inconsistent multidegrees" in err
+
     def test_exhausted_gcd_budget_exits_2(self, capsys, tmp_path, monkeypatch):
         from dyndeg import rational
 

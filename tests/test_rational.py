@@ -1,5 +1,8 @@
+import contextlib
 import decimal
+import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -13,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from dyndeg import degrees, rational
+from dyndeg import cli, degrees, rational
 from dyndeg.cohomology import (
     CohClass,
     FibrationError,
@@ -40,7 +43,6 @@ from dyndeg.rational import (
     check_dominance,
     compose,
     fiber_degree_sequence,
-    identity_map,
     iterate_multidegrees,
     monomial_to_rational,
     num_variables,
@@ -55,6 +57,25 @@ P1xP1 = Space((1, 1), base_factors=1)
 
 def poly(space, coeffs):
     return MultiHomPoly.make(space, coeffs)
+
+
+def var(space, factor, index):
+    """The variable x_{factor,index}, built through make."""
+    start, _ = variable_layout(space)[factor]
+    e = [0] * num_variables(space)
+    e[start + index] = 1
+    return poly(space, {tuple(e): 1})
+
+
+def add(*polys):
+    """The sum of polynomials on one space, by make on their homogeneous views."""
+    return poly(polys[0].space, [t for p in polys for t in p.homogeneous_terms()])
+
+
+def identity(space):
+    return RationalMapDesc(space, tuple(
+        tuple(var(space, i, j) for j in range(n + 1)) for i, n in enumerate(space.factors)
+    ))
 
 
 def cremona():
@@ -158,8 +179,9 @@ def _bytes_kron_mul(p1, p2):
     layout = variable_layout(space)
     prod_deg = [a + b for a, b in zip(p1.multidegree, p2.multidegree)]
     keep = [i for start, count in layout for i in range(start, start + count - 1)]
+    terms1, terms2 = p1.homogeneous_terms(), p2.homogeneous_terms()
     max_sum = [
-        max(e[i] for e, _ in p1.terms) + max(e[i] for e, _ in p2.terms) for i in keep
+        max(e[i] for e, _ in terms1) + max(e[i] for e, _ in terms2) for i in keep
     ]
     strides = [0] * len(keep)
     acc = 1
@@ -181,8 +203,8 @@ def _bytes_kron_mul(p1, p2):
             parts[c < 0][off : off + slot_bytes] = abs(c).to_bytes(slot_bytes, "little")
         return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
 
-    a = pack(p1.terms)
-    b = a if p2 is p1 else pack(p2.terms)
+    a = pack(terms1)
+    b = a if p2 is p1 else pack(terms2)
     bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * slots, "little")
     raw = (a * b + bias).to_bytes(size, "little")
     acc_terms = {}
@@ -198,7 +220,7 @@ def _bytes_kron_mul(p1, p2):
         for f, (start, count) in enumerate(layout):
             e[start + count - 1] = prod_deg[f] - sum(e[start : start + count - 1])
         acc_terms[tuple(e)] = c
-    return MultiHomPoly(space, tuple(sorted(acc_terms.items())))
+    return poly(space, acc_terms)
 
 
 def _draw_factor(data, space, multidegree):
@@ -217,34 +239,54 @@ def _sympy_gens(space):
     return sympy.symbols(names)
 
 
+# Test-local copies of the homogeneous arithmetic that the stored form
+# replaced: a polynomial is a dict from full exponent vectors to nonzero
+# coefficients, as dict(p.homogeneous_terms()).
+
+
+def _h_mul(a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _h_strip(polys):
+    """The common monomial, over every homogeneous variable, and the
+    integer content divided out."""
+    active = [p for p in polys if p]
+    nvars = len(next(iter(active[0])))
+    mins = [min(e[v] for p in active for e in p) for v in range(nvars)]
+    content = math.gcd(*(c for p in active for c in p.values()))
+    return [{tuple(x - m for x, m in zip(e, mins)): c // content for e, c in p.items()}
+            for p in polys]
+
+
 def _dense_reduce_tuple(space, polys):
-    """Reference for reduce_tuple: every gcd-route tuple goes through sympy's
-    dense Poly gcd and exquo in all the homogeneous variables, with no
-    certificate in front."""
+    """Reference for reduce_tuple: the homogeneous strip, then every
+    gcd-route tuple through sympy's dense Poly gcd and exquo in all the
+    homogeneous variables, with no certificate in front."""
     gens = _sympy_gens(space)
 
     def to_dense(p):
-        return sympy.Poly.from_dict(dict(p.terms), *gens, domain=sympy.ZZ)
+        return sympy.Poly.from_dict(p, *gens, domain=sympy.ZZ)
 
-    polys = _strip_monomial_and_content(tuple(polys))
-    active = [p for p in polys if not p.is_zero]
+    polys = _h_strip([dict(p.homogeneous_terms()) for p in polys])
+    active = [p for p in polys if p]
     if len(active) == 1:
-        polys = tuple(
-            MultiHomPoly.constant(space, 1) if not p.is_zero else p for p in polys
-        )
-    elif not any(p.is_monomial for p in active):
+        polys = [{(0,) * len(gens): 1} if p else p for p in polys]
+    elif all(len(p) > 1 for p in active):
         g = reduce(lambda a, b: a.gcd(b), (to_dense(p) for p in active))
         if not g.is_ground:
-            polys = _strip_monomial_and_content(tuple(
-                p if p.is_zero else poly(space, {
-                    tuple(e): int(c) for e, c in to_dense(p).exquo(g).as_dict().items()
-                })
+            polys = _h_strip([
+                {tuple(e): int(c) for e, c in to_dense(p).exquo(g).as_dict().items()} if p else p
                 for p in polys
-            ))
-    first = next(p for p in polys if not p.is_zero)
-    if first.terms[-1][1] < 0:
-        polys = tuple(p.scale(-1) for p in polys)
-    return polys
+            ])
+    first = next(p for p in polys if p)
+    sign = -1 if first[max(first)] < 0 else 1
+    return tuple(poly(space, {e: sign * c for e, c in p.items()}) for p in polys)
 
 
 class TestMultiHomPoly:
@@ -259,39 +301,43 @@ class TestMultiHomPoly:
     def test_zero_and_constant(self):
         assert MultiHomPoly.zero(P2).is_zero
         assert MultiHomPoly.constant(P2, 0).is_zero
+        assert poly(P2, {(1, 0, 0): 0}) == MultiHomPoly.zero(P2)
         one = MultiHomPoly.constant(P2, 1)
         assert one.multidegree == (0,)
-        assert one.total_degree == 0
+        assert one == poly(P2, {(0, 0, 0): 1})
+        assert one.homogeneous_terms() == (((0, 0, 0), 1),)
 
     def test_variable_and_layout(self):
         assert variable_layout(P1xP1) == ((0, 2), (2, 2))
         assert num_variables(P1xP1) == 4
-        y1 = MultiHomPoly.variable(P1xP1, 1, 1)
-        assert y1.terms == (((0, 0, 0, 1), 1),)
-        with pytest.raises(ValueError):
-            MultiHomPoly.variable(P1xP1, 0, 2)
+        y1 = poly(P1xP1, {(0, 0, 0, 1): 1})
+        assert y1 == var(P1xP1, 1, 1)
+        # the last variable of each block is not stored: y1 keeps its degree only
+        assert y1.terms == (((0, 0), 1),)
+        assert y1.multidegree == (0, 1)
+        assert y1.homogeneous_terms() == (((0, 0, 0, 1), 1),)
+        with pytest.raises(ValueError, match="needs 4 entries, got 5"):
+            poly(P1xP1, {(0, 0, 1, 0, 0): 1})  # a third variable in the first block
 
     def test_arithmetic_hand_case(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
-        s = x0 + x1
+        x0 = var(P2, 0, 0)
+        x1 = var(P2, 0, 1)
+        s = add(x0, x1)
         sq = s * s
-        assert sq.coeff((2, 0, 0)) == 1
-        assert sq.coeff((1, 1, 0)) == 2
-        assert sq.coeff((0, 2, 0)) == 1
-        assert (s + (-s)).is_zero
+        assert dict(sq.homogeneous_terms()) == {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
+        assert add(s, s.scale(-1)).is_zero
         assert s.power(3) == s * s * s
         assert s.power(0) == MultiHomPoly.constant(P2, 1)
 
     def test_derivative_and_evaluate(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
-        p = (x0 + x1).power(2)
-        dp = p.derivative(0)
-        assert dp.coeff((1, 0, 0)) == 2
-        assert dp.coeff((0, 1, 0)) == 2
-        assert p.evaluate((2, 3, 7)) == 25
-        assert p.evaluate((Fraction(1, 2), Fraction(1, 2), 0)) == 1
+        # check_dominance differentiates and evaluates homogeneous views
+        p = poly(P2, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}).homogeneous_terms()
+        dp = rational._derivative(p, 0)
+        assert dict(dp) == {(1, 0, 0): 2, (0, 1, 0): 2}
+        assert rational._derivative(p, 2) == []
+        assert rational._evaluate(p, (2, 3, 7)) == 25
+        assert rational._evaluate(dp, (2, 3, 7)) == 10
+        assert rational._evaluate(p, (Fraction(1, 2), Fraction(1, 2), 0)) == 1
 
     @given(st.data())
     def test_kronecker_multiplication_matches_dict(self, data):
@@ -316,7 +362,7 @@ class TestMultiHomPoly:
         else:
             # (p + q)(p - q) = p^2 - q^2 cancels whole slots
             q = _draw_poly(data, space, degs1, bound, support)
-            p1, p2 = p1 + q, p1 + q.scale(-1)
+            p1, p2 = add(p1, q), add(p1, q.scale(-1))
             assume(not p1.is_zero and not p2.is_zero)
         product = _kron(p1, p2).terms
         assert product == _dict_mul(p1, p2).terms
@@ -401,6 +447,66 @@ class TestMultiHomPoly:
             assert prod.multidegree == tuple(a + b for a, b in zip(degs1, degs2))
 
 
+def _cli_exit(tmp_dir, space, entry):
+    """cli.main's exit code on the identity map of space with its first
+    entry replaced by the coeffs list `entry`."""
+    components = [
+        [{"coeffs": [[list(e), c] for e, c in var(space, i, j).homogeneous_terms()]}
+         for j in range(n + 1)]
+        for i, n in enumerate(space.factors)
+    ]
+    components[0][0] = {"coeffs": entry}
+    path = tmp_dir / "job.json"
+    path.write_text(json.dumps({"type": "rational", "factors": list(space.factors),
+                                "components": components, "n_max": 2}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["sequence", "--input", str(path)])
+
+
+class TestMakeFuzz:
+    """make is the one validator: it reads full vectors from job input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([Space((1,)), P2, P1xP1, Space((1, 2))]),
+           st.sampled_from(["valid", "length", "negative", "degree"]))
+    def test_make_validates_and_round_trips(self, tmp_path_factory, data, space, flaw):
+        nvars = num_variables(space)
+        degs = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
+        pairs = data.draw(st.lists(st.tuples(
+            st.sampled_from(list(_monomials(space, degs))), st.integers(-3, 3)), max_size=8))
+        if flaw == "valid":
+            merged = {}
+            for e, c in pairs:
+                merged[e] = merged.get(e, 0) + c
+            p = MultiHomPoly.make(space, pairs)
+            expected = tuple(sorted((e, c) for e, c in merged.items() if c))
+            assert p.homogeneous_terms() == expected
+            assert p.multidegree == (degs if expected else None)
+            assert MultiHomPoly.make(space, expected) == p
+            return
+        # a zero value checks the vector too
+        value = data.draw(st.integers(-3, 3))
+        if flaw == "length":
+            size = data.draw(st.integers(0, nvars + 3).filter(lambda n: n != nvars))
+            bad = tuple(data.draw(st.integers(0, 3)) for _ in range(size))
+        elif flaw == "negative":
+            bad = list(data.draw(st.sampled_from(list(_monomials(space, degs)))))
+            bad[data.draw(st.integers(0, nvars - 1))] = data.draw(st.integers(-3, -1))
+            bad = tuple(bad)
+        else:
+            # a term of another multidegree survives beside a surviving one
+            other = tuple(d + data.draw(st.integers(1, 2)) for d in degs)
+            bad = data.draw(st.sampled_from(list(_monomials(space, other))))
+            value = data.draw(st.integers(-3, 3).filter(bool))
+            pairs = [(e, c) for e, c in pairs if c] or [(next(_monomials(space, degs)), 1)]
+            assume(MultiHomPoly.make(space, pairs).terms)
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (bad, value))
+        with pytest.raises(ValueError):
+            MultiHomPoly.make(space, pairs)
+        entry = [[list(e), c] for e, c in pairs]
+        assert _cli_exit(tmp_path_factory.mktemp("make"), space, entry) == 1
+
+
 class TestMultiplicationRoute:
     @pytest.fixture
     def routes(self, monkeypatch):
@@ -464,7 +570,8 @@ class TestMultiplicationRoute:
             g = compose(f, g)
         entry = g.components[1][1]
         u, v = _packed_ends(P1xP1)
-        unsheared = math.prod(2 * max(e[i] for e, _ in entry.terms) + 1 for i in (u, v))
+        terms = entry.homogeneous_terms()
+        unsheared = math.prod(2 * max(e[i] for e, _ in terms) + 1 for i in (u, v))
         box = rational._kron_box(entry, entry)
         assert (len(entry.terms), unsheared) == (1088, 16383)
         assert box.shear == 1
@@ -473,32 +580,32 @@ class TestMultiplicationRoute:
 
 class TestReduceTuple:
     def test_strips_common_monomial_and_content(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
+        x0 = var(P2, 0, 0)
+        x1 = var(P2, 0, 1)
         reduced = reduce_tuple(P2, (x0 * x0.scale(4), (x0 * x1).scale(6), MultiHomPoly.zero(P2)))
         assert reduced[0] == x0.scale(2)
         assert reduced[1] == x1.scale(3)
         assert reduced[2].is_zero
 
     def test_polynomial_common_factor(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
-        s = x0 + x1
+        x0 = var(P2, 0, 0)
+        x1 = var(P2, 0, 1)
+        s = add(x0, x1)
         reduced = reduce_tuple(P2, (s * x0, s * x1))
         assert reduced == (x0, x1)
         # re-multiplying by the factor recovers the originals
         assert reduced[0] * s == s * x0
 
     def test_single_active_entry_collapses_to_constant(self):
-        x2 = MultiHomPoly.variable(P2, 0, 2)
+        x2 = var(P2, 0, 2)
         zero = MultiHomPoly.zero(P2)
         reduced = reduce_tuple(P2, (zero, x2.power(4), zero))
         assert reduced[1] == MultiHomPoly.constant(P2, 1)
 
     def test_sign_normalization(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
-        assert reduce_tuple(P2, (-x0, -x1)) == (x0, x1)
+        x0 = var(P2, 0, 0)
+        x1 = var(P2, 0, 1)
+        assert reduce_tuple(P2, (x0.scale(-1), x1.scale(-1))) == (x0, x1)
 
     def test_all_zero_raises(self):
         zero = MultiHomPoly.zero(P2)
@@ -519,11 +626,11 @@ class TestReduceTuple:
         layout = variable_layout(space)
         block = data.draw(st.integers(0, len(layout) - 1))
         dropped = [
-            MultiHomPoly.variable(space, b, count - 1) for b, (_, count) in enumerate(layout)
+            var(space, b, count - 1) for b, (_, count) in enumerate(layout)
         ]
         if data.draw(st.booleans()):
             # a dropped variable divides some entries, another variable the rest
-            first = MultiHomPoly.variable(space, block, 0)
+            first = var(space, block, 0)
             flags = [True, False] + [data.draw(st.booleans()) for _ in entries[2:]]
             entries = [p * (dropped[block] if flag else first) for p, flag in zip(entries, flags)]
         planted = data.draw(st.booleans())
@@ -537,9 +644,10 @@ class TestReduceTuple:
                 corner = reduce(MultiHomPoly.__mul__,
                                 (x.power(d) for x, d in zip(dropped, g_degs)))
                 # a scale that cancels the corner's own term could leave a monomial
-                present = factor.coeff(corner.terms[0][0])
+                present = dict(factor.homogeneous_terms()).get(
+                    corner.homogeneous_terms()[0][0], 0)
                 scale = data.draw(st.integers(-9, 9).filter(lambda c: c and c != -present))
-                factor = factor + corner.scale(scale)
+                factor = add(factor, corner.scale(scale))
             entries = [p * factor for p in entries]
         if all(p.is_zero for p in entries):
             entries[0] = _draw_poly(data, space, degs)
@@ -673,9 +781,9 @@ class TestHeuristicGcd:
         assert h == {(1, 0, 0): 1, (0, 0, 0): 1}
         assert quotients == [{(0, 0, 1): 1}, {(0, 1, 0): 2}]
         space = Space((1, 2))
-        x0, x1, x2, x3, x4 = (MultiHomPoly.variable(space, *v)
+        x0, x1, x2, x3, x4 = (var(space, *v)
                               for v in ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)))
-        assert reduce_tuple(space, (x3 * (x0 + x1), (x2 * (x0 + x1)).scale(2))) == (
+        assert reduce_tuple(space, (x3 * add(x0, x1), (x2 * add(x0, x1)).scale(2))) == (
             x3, x2.scale(2))
 
     def test_xi_grows_when_the_first_point_fails(self, monkeypatch):
@@ -698,12 +806,13 @@ class TestHeuristicGcd:
     def test_cofactors_larger_than_their_product(self):
         # (x0 + x1)^30 has coefficients 61 times those of (x0^2 - x1^2)^10 (x0 + x1)^20,
         # so a slot sized for the entries alone cannot hold the quotient
-        x0, x1 = MultiHomPoly.variable(Space((1,)), 0, 0), MultiHomPoly.variable(Space((1,)), 0, 1)
-        factor = (x0 + x1.scale(-1)).power(10)
-        big = (x0 + x1).power(30)
-        other = x0.power(30) + x1.power(30)
+        x0, x1 = var(Space((1,)), 0, 0), var(Space((1,)), 0, 1)
+        factor = add(x0, x1.scale(-1)).power(10)
+        big = add(x0, x1).power(30)
+        other = add(x0.power(30), x1.power(30))
         assert reduce_tuple(Space((1,)), (factor * big, factor * other)) == (big, other)
-        affine = [{(e[0],): c for e, c in p.terms} for p in (factor * big, factor, big)]
+        # on P^1 the stored keys are the affine exponents
+        affine = [dict(p.terms) for p in (factor * big, factor, big)]
         assert rational._exquo(affine[0], affine[1]) == affine[2]
 
     @settings(max_examples=150, deadline=None)
@@ -743,16 +852,14 @@ class TestHeuristicGcd:
         # the heuristic's own test accepts any common divisor; the cofactor
         # certificate sends quotients that still share (x0 + 2 x1) back
         p1 = Space((1,))
-        x0, x1 = MultiHomPoly.variable(p1, 0, 0), MultiHomPoly.variable(p1, 0, 1)
-        shared, rest = x0 + x1, x0 + x1.scale(2)
-        q1, q2 = x0 + x1.scale(3), x0 + x1.scale(5)
+        x0, x1 = var(p1, 0, 0), var(p1, 0, 1)
+        shared, rest = add(x0, x1), add(x0, x1.scale(2))
+        q1, q2 = add(x0, x1.scale(3)), add(x0, x1.scale(5))
         heugcd = rational._heugcd
 
         def short_first(polys):
             if len(next(iter(polys[0]))) == 1 and len(polys[0]) == 4:
-                yield {(1,): 1, (0,): 1}, [
-                    {(e[0],): c for e, c in (rest * q).terms} for q in (q1, q2)
-                ]
+                yield {(1,): 1, (0,): 1}, [dict((rest * q).terms) for q in (q1, q2)]
             yield from heugcd(polys)
 
         monkeypatch.setattr(rational, "_heugcd", short_first)
@@ -761,15 +868,15 @@ class TestHeuristicGcd:
     def test_budget_exhaustion_raises_runtime_error(self, monkeypatch):
         monkeypatch.setattr(rational, "_HEUGCD_TRIES", 0)
         p1 = Space((1,))
-        x0, x1 = MultiHomPoly.variable(p1, 0, 0), MultiHomPoly.variable(p1, 0, 1)
-        g = x0 + x1.scale(2)
+        x0, x1 = var(p1, 0, 0), var(p1, 0, 1)
+        g = add(x0, x1.scale(2))
         with pytest.raises(RuntimeError, match="heuristic gcd"):
-            reduce_tuple(p1, (g * (x0 + x1), g * (x0 + x1.scale(3))))
+            reduce_tuple(p1, (g * add(x0, x1), g * add(x0, x1.scale(3))))
 
 
 class TestRationalMapDesc:
     def test_validation(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
+        x0 = var(P2, 0, 0)
         with pytest.raises(ValueError):
             RationalMapDesc(P2, ((x0, x0),))  # wrong component count
         zero = MultiHomPoly.zero(P2)
@@ -780,15 +887,15 @@ class TestRationalMapDesc:
             RationalMapDesc(skew.space, skew.components, fibration_dim=2)
 
     def test_construction_reduces(self):
-        x0 = MultiHomPoly.variable(P2, 0, 0)
-        x1 = MultiHomPoly.variable(P2, 0, 1)
-        x2 = MultiHomPoly.variable(P2, 0, 2)
+        x0 = var(P2, 0, 0)
+        x1 = var(P2, 0, 1)
+        x2 = var(P2, 0, 2)
         f = RationalMapDesc(P2, ((x0 * x0, x0 * x1, x0 * x2),))
         assert f.multidegree_matrix == ((1,),)
 
     def test_identity_laws(self):
         f = cremona()
-        ident = identity_map(P2)
+        ident = identity(P2)
         assert compose(f, ident).components == f.components
         assert compose(ident, f).components == f.components
 
@@ -796,7 +903,7 @@ class TestRationalMapDesc:
         f = cremona()
         assert f.multidegree_matrix == ((2,),)
         square = compose(f, f)
-        assert square.components == identity_map(P2).components
+        assert square.components == identity(P2).components
 
     def test_cremona_degree_sequence(self):
         data = iterate_multidegrees(cremona(), n_max=6)
@@ -870,27 +977,97 @@ def _draw_map(data, space):
     return RationalMapDesc(space, tuple(components))
 
 
+def _substitute(p, g):
+    """g's components substituted into p on its own, with no shared power
+    table: each monomial is a constant times repeated products of g's
+    components, summed as a homogeneous dict."""
+    images = [dict(q.homogeneous_terms()) for comp in g.components for q in comp]
+    total = {}
+    for exponents, coefficient in p.homogeneous_terms():
+        term = {(0,) * num_variables(g.space): coefficient}
+        for v, e in enumerate(exponents):
+            for _ in range(e):
+                term = _h_mul(term, images[v])
+        for m, c in term.items():
+            total[m] = total.get(m, 0) + c
+    return poly(g.space, total)
+
+
 def _compose_per_entry(f, g):
-    """Reference for compose: each entry of f substitutes g's components on
-    its own, with no shared power table; each monomial is a constant times
-    repeated products of g's components, added by MultiHomPoly sums."""
-    images = [p for comp in g.components for p in comp]
-
-    def substitute(p):
-        total = MultiHomPoly.zero(g.space)
-        for exponents, coefficient in p.terms:
-            term = MultiHomPoly.constant(g.space, coefficient)
-            for v, e in enumerate(exponents):
-                for _ in range(e):
-                    term = term * images[v]
-            total = total + term
-        return total
-
+    """Reference for compose: every entry of f substituted on its own."""
     return RationalMapDesc(
         g.space,
-        tuple(tuple(substitute(p) for p in comp) for comp in f.components),
+        tuple(tuple(_substitute(p, g) for p in comp) for comp in f.components),
         f.fibration_dim,
     )
+
+
+def _draw_family_map(data, family):
+    """A skew product over P^1, a Lyness-type map (bXY : YZ + aZ^2 : cXZ)
+    or a map of P^2 of degree 1 or 2."""
+    if family == "skew":
+        d = data.draw(st.integers(1, 3))
+        base = tuple(_draw_poly(data, P1xP1, (d, 0)) for _ in range(2))
+        degs = (data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)))
+        fiber = tuple(_draw_poly(data, P1xP1, degs) for _ in range(2))
+        return RationalMapDesc(P1xP1, (base, fiber), fibration_dim=1)
+    if family == "lyness":
+        a, b, c = (data.draw(st.integers(-5, 5).filter(bool)) for _ in range(3))
+        return RationalMapDesc(P2, ((
+            poly(P2, {(1, 1, 0): b}),
+            poly(P2, {(0, 1, 1): 1, (0, 0, 2): a}),
+            poly(P2, {(1, 0, 1): c}),
+        ),))
+    degs = (data.draw(st.integers(1, 2)),)
+    return RationalMapDesc(P2, (tuple(_draw_poly(data, P2, degs) for _ in range(3)),))
+
+
+class TestStoredFormMatchesHomogeneous:
+    """Products, powers, reductions and compositions against the test-local
+    homogeneous copies above, read through the homogeneous view."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["skew", "lyness", "P2"]))
+    def test_arithmetic_matches_homogeneous_copies(self, data, family):
+        f, g = _draw_family_map(data, family), _draw_family_map(data, family)
+        space = f.space
+        entries = [p for comp in f.components + g.components for p in comp if not p.is_zero]
+        p, q = data.draw(st.sampled_from(entries)), data.draw(st.sampled_from(entries))
+        hp = dict(p.homogeneous_terms())
+        assert p * q == poly(space, _h_mul(hp, dict(q.homogeneous_terms())))
+        power = {(0,) * num_variables(space): 1}
+        for k in range(5):
+            assert p.power(k) == poly(space, power)
+            power = _h_mul(power, hp)
+        # the unreduced tuples of f o g, times a monomial that may hold any
+        # variable's power, the last of a block's included
+        degs = tuple(data.draw(st.integers(0, 2)) for _ in space.factors)
+        monomial = poly(space, {data.draw(st.sampled_from(list(_monomials(space, degs)))):
+                                data.draw(st.integers(-3, 3).filter(bool))})
+        substituted = [tuple(_substitute(p, g) for p in comp) for comp in f.components]
+        if any(all(p.is_zero for p in comp) for comp in substituted):
+            with pytest.raises(CompositionCollapseError):
+                compose(f, g)
+            return
+        for comp in substituted:
+            planted = tuple(p * monomial for p in comp)
+            assert reduce_tuple(space, planted) == _dense_reduce_tuple(space, planted)
+        assert compose(f, g).components == tuple(
+            _dense_reduce_tuple(space, comp) for comp in substituted)
+
+    @pytest.mark.parametrize("space, entries, reduced", [
+        # x1, the last variable of P^1, is the common factor
+        (Space((1,)), ({(1, 1): 1}, {(0, 2): 1}), ({(1, 0): 1}, {(0, 1): 1})),
+        # z^2 on P^2, with a binomial entry
+        (P2, ({(1, 0, 2): 2}, {(0, 1, 2): 4, (0, 0, 3): 6}),
+         ({(1, 0, 0): 1}, {(0, 1, 0): 2, (0, 0, 1): 3})),
+        # x0 y1 on P^1 x P^1; the sign of the first entry is kept
+        (P1xP1, ({(1, 0, 1, 1): 1}, {(1, 0, 0, 2): -1}), ({(0, 0, 1, 0): 1}, {(0, 0, 0, 1): -1})),
+    ])
+    def test_strip_takes_the_last_variables_common_power(self, space, entries, reduced):
+        polys = tuple(poly(space, e) for e in entries)
+        assert reduce_tuple(space, polys) == tuple(poly(space, e) for e in reduced)
+        assert reduce_tuple(space, polys) == _dense_reduce_tuple(space, polys)
 
 
 class TestSkewProduct:
@@ -1052,13 +1229,32 @@ class TestProductsOfMapsOfP1:
 
 def _quotient_rule_dominance(f, rng):
     """Reference for check_dominance: the affine-chart Jacobian in Fractions
-    by the quotient rule (dP_j q - P_j dq) / q^2, ranked by sympy."""
+    by the quotient rule (dP_j q - P_j dq) / q^2, ranked by sympy, on the
+    homogeneous views of the entries."""
     space = f.space
     k = space.dim
     layout = variable_layout(space)
     affine_vars = [start + j for start, count in layout for j in range(1, count)]
-    flat_polys = [p for comp in f.components for p in comp]
-    derivatives = [[p.derivative(v) for v in affine_vars] for p in flat_polys]
+    flat_polys = [p.homogeneous_terms() for comp in f.components for p in comp]
+
+    def derivative(terms, v):
+        out = []
+        for e, c in terms:
+            if e[v]:
+                d = list(e)
+                d[v] -= 1
+                out.append((d, c * e[v]))
+        return out
+
+    def evaluate(terms, point):
+        total = 0
+        for e, c in terms:
+            for x, m in zip(point, e):
+                c *= x**m
+            total += c
+        return total
+
+    derivatives = [[derivative(p, v) for v in affine_vars] for p in flat_polys]
     offsets = list(itertools.accumulate((len(c) for c in f.components), initial=0))
     for _ in range(3):
         for _attempt in range(40):
@@ -1068,7 +1264,7 @@ def _quotient_rule_dominance(f, rng):
                 for j in range(1, count):
                     values[start + j] = rng.randint(-9, 9)
             vals = [Fraction(v) for v in values]
-            point_values = [p.evaluate(vals) for p in flat_polys]
+            point_values = [evaluate(p, vals) for p in flat_polys]
             pivots = []
             for i, comp in enumerate(f.components):
                 pivot, best = None, 0
@@ -1083,12 +1279,12 @@ def _quotient_rule_dominance(f, rng):
             for i, comp in enumerate(f.components):
                 q_at = offsets[i] + pivots[i]
                 q_val = point_values[q_at]
-                dq = [d.evaluate(vals) for d in derivatives[q_at]]
+                dq = [evaluate(d, vals) for d in derivatives[q_at]]
                 for j in range(len(comp)):
                     if j == pivots[i]:
                         continue
                     p_val = point_values[offsets[i] + j]
-                    dp = [d.evaluate(vals) for d in derivatives[offsets[i] + j]]
+                    dp = [evaluate(d, vals) for d in derivatives[offsets[i] + j]]
                     jac.append([Fraction(dp[c] * q_val - p_val * dq[c], q_val * q_val)
                                 for c in range(k)])
             if sympy.Matrix(jac).rank() == k:
@@ -1169,7 +1365,7 @@ class TestMonomialBridge:
         f = monomial_to_rational(((-1, 0), (0, -1)))
         # the coordinate inversion on (P1)^2 swaps homogeneous coordinates
         ident2 = compose(f, f)
-        assert ident2.components == identity_map(f.space).components
+        assert ident2.components == identity(f.space).components
 
     @settings(max_examples=150)
     @given(st.data())
