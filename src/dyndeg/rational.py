@@ -30,11 +30,14 @@ for both).
 A product with a one-term operand is an exponent shift.  A product of
 many cross terms whose packed box is dense enough uses signed Kronecker
 packing into decimal slots: one big decimal integer per operand and one
-exact product, taken by libmpdec.  The box is sheared along the diagonal
-that fits the operands best and offset to their minima, so it covers
-their Newton polytopes rather than the bounding box of all exponents.
-Every other product goes through a dict.  Exact quotients are packed and
-divided the same way, in an unsheared box, and everything stays exact.
+exact product, taken by libmpdec.  Each slot carries a bias of half its
+range, so an operand is written as one digit string and the product is
+read in one pass with no carries (_unpack).  The box is sheared along
+the diagonal that fits the operands best and offset to their minima, so
+it covers their Newton polytopes rather than the bounding box of all
+exponents.  Every other product goes through a dict.  Exact quotients
+are packed and divided the same way, in an unsheared box, and everything
+stays exact.
 
 The iterates of a product of maps of P^1 never reduce, so they are not
 composed: their multidegree matrices are powers of the map's
@@ -53,10 +56,11 @@ import itertools
 import math
 import operator
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cohomology import CohClass, FibrationError, Space, alpha, mass
 from .intmat import IntMatrix, det, freeze, identity, mat_mul
@@ -244,53 +248,74 @@ def _decimal_width(bound: int) -> int:
     return width
 
 
+def _plain_digits(width: int) -> bool:
+    """Whether slots of `width` digits convert through int and str: only
+    below the interpreter's int/str digit limit (0: none), above which they
+    refuse.  decimal converts any width, about three times slower."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or width < limit
+
+
+def _bias(width: int, slots: int) -> decimal.Decimal:
+    """H: half of 10**width in each of `slots` slots of `width` digits.
+
+    Built by doubling the number of slots, a few times faster than parsing
+    its digits."""
+    half = _CTX.create_decimal(10**width // 2)
+    bias, count = half, 1
+    for bit in bin(slots)[3:]:
+        bias = _CTX.add(_CTX.scaleb(bias, count * width), bias)
+        count *= 2
+        if bit == "1":
+            bias = _CTX.add(_CTX.scaleb(bias, width), half)
+            count += 1
+    return bias
+
+
 def _pack(placed: Sequence[tuple[int, int]], width: int) -> decimal.Decimal:
-    """sum(c * 10**(width * offset)) over (offset, c) pairs with distinct offsets
-    and |c| < 10**width: its positive part minus its negative part."""
-    top = max(offset for offset, _ in placed)
-    zero = "0" * width
-    parts = ([zero] * (top + 1), [zero] * (top + 1))  # positive, negative
-    for offset, c in placed:
-        parts[c < 0][top - offset] = str(_CTX.create_decimal(abs(c))).zfill(width)
-    positive, negative = (_CTX.create_decimal("".join(part)) for part in parts)
-    return _CTX.subtract(positive, negative)
+    """sum(c * 10**(width * offset)) over (offset, c) pairs with distinct
+    offsets and |c| < half of 10**width.
 
-
-def _unpack(digits: str, width: int, slots: int) -> list[tuple[int, int]] | None:
-    """The nonzero balanced base-10**width digits of the decimal integer
-    `digits` as (slot, digit) pairs, least significant first, or None if
-    it needs more than `slots` slots.
-
-    A slot value (with the carry into it) of at least half of 10**width is a
-    negative digit and carries one into the next slot; a negative integer
-    negates every digit (Harvey 2009).
+    One digit string holds c + half in each placed slot and half in every
+    other slot below the top one; it is parsed once, and the bias H of as
+    many slots is subtracted.
     """
-    sign = -1 if digits[0] == "-" else 1
-    first = int(sign < 0)  # the index of the leading digit
-    used = -(-(len(digits) - first) // width)
-    if used > slots:
+    half = 10**width // 2
+    digit = str if _plain_digits(width) else lambda c: str(_CTX.create_decimal(c))
+    top = max(offset for offset, _ in placed)
+    chunks = ["5" + "0" * (width - 1)] * (top + 1)  # half
+    for offset, c in placed:
+        chunks[top - offset] = digit(c + half).zfill(width)
+    return _CTX.subtract(_CTX.create_decimal("".join(chunks)), _bias(width, top + 1))
+
+
+def _unpack(digits: str, width: int, slots: int, keys: Iterable) -> list[tuple] | None:
+    """The nonzero balanced base-10**width digits of v, read from the
+    decimal digits of v + H (H = _bias(width, slots)), as (key, digit)
+    pairs; keys name the slots, least significant first.  None if v needs
+    more than `slots` slots, that is when v + H is negative or longer than
+    slots * width digits.
+
+    Every balanced digit c of v lies in [-half, half), so slot by slot the
+    digit of v + H is c + half, in [0, 10**width): no slot carries, and
+    each one reads on its own (signed Kronecker substitution, Harvey 2009).
+    A chunk of half is a zero digit, and slots above the string's top
+    digit hold 0, the digit -half.
+    """
+    size = len(digits)
+    if digits[0] == "-" or size > slots * width:
         return None
-    zero = "0" * width
-    base = 10**width
-    half = base // 2
-    out = []
-    carry = 0
-    for idx, end in enumerate(range(len(digits), first, -width)):
-        start = end - width
-        chunk = digits[start if start > first else first : end]
-        if chunk == zero and not carry:
-            continue
-        c = int(_CTX.create_decimal(chunk)) + carry
-        carry = c >= half
-        if carry:
-            c -= base
-        if c:
-            out.append((idx, sign * c))
-    if carry:
-        if used == slots:
-            return None
-        out.append((used, sign))
-    return out
+    half = 10**width // 2
+    digit = int if _plain_digits(width) else lambda chunk: int(_CTX.create_decimal(chunk))
+    short = size % width  # the length of a short top chunk
+    # cut every chunk before converting any: interleaving the two left the
+    # kept digits scattered over the heap and measured a higher peak RSS
+    chunks = [digits[end - width : end] for end in range(size, short, -width)]
+    if short:
+        chunks.append(digits[:short])
+    chunks += ["0"] * (slots - len(chunks))
+    empty = "5" + "0" * (width - 1)
+    return [(key, digit(chunk) - half) for key, chunk in zip(keys, chunks) if chunk != empty]
 
 
 class _KronBox(NamedTuple):
@@ -355,15 +380,16 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly
 
     Each term goes to the slot of its sheared packed exponents, offset by
     the operand's minima, in `box`, which _kron_box chose for p1 p2.  A
-    slot is `width` decimal digits, and 10**width exceeds twice the
+    slot is `width` decimal digits, and half of 10**width exceeds the
     largest product coefficient's magnitude.  Each operand packs to one
     signed decimal and libmpdec takes one product, a squaring when both
     operands are the same object; at these sizes it multiplies by a
-    number-theoretic transform.  The product's
-    slots are read back as balanced digits, in slot order, which is term
-    order: the offsets add back the sum of the minima, and v - k u undoes
-    the shear.  Every int <-> digit conversion goes through decimal, which
-    int_max_str_digits does not limit.
+    number-theoretic transform.  The product plus the bias H is read in
+    one pass (_unpack), in slot order, which is term order: the keys run
+    over the box's offset ranges shifted by the sum of the minima, and the
+    range of v moves by -k u on each row u to undo the shear.  Slots
+    convert through int and str below the interpreter's int/str digit
+    limit, and through decimal at or above it.
     """
     shear, lows, strides, slots = box
     c1max = max(abs(c) for _, c in p1.terms)
@@ -380,20 +406,22 @@ def _kron_mul(p1: MultiHomPoly, p2: MultiHomPoly, box: _KronBox) -> MultiHomPoly
 
     a = pack(p1.terms, lows[0])
     b = a if p2 is p1 else pack(p2.terms, lows[1])
-    digits = str(_CTX.multiply(a, b))
+    digits = str(_CTX.add(_CTX.multiply(a, b), _bias(width, slots)))
     del a, b
-    placed = _unpack(digits, width, slots)
-    if placed is None:
+    sizes = [slots // strides[0], *map(operator.floordiv, strides, strides[1:])]
+    ranges = [range(m, m + n) for m, n in zip(map(operator.add, *lows), sizes)]
+    if shear:
+        first, *middle, last = ranges
+        keys = itertools.chain.from_iterable(
+            itertools.product((u,), *middle,
+                              range(last.start - shear * u, last.stop - shear * u))
+            for u in first
+        )
+    else:
+        keys = itertools.product(*ranges)
+    terms = _unpack(digits, width, slots, keys)
+    if terms is None:
         raise AssertionError(f"Kronecker product overflows its box of {slots} slots")
-    low = [x + y for x, y in zip(*lows)]
-    terms = []
-    for idx, c in placed:
-        e = []
-        for s, m in zip(strides, low):
-            x, idx = divmod(idx, s)
-            e.append(x + m)
-        e[-1] -= shear * e[0]
-        terms.append((tuple(e), c))
     return MultiHomPoly(p1.space, tuple(terms), _product_degree(p1, p2))
 
 
@@ -532,8 +560,9 @@ def _exquo(p: Affine, d: Affine) -> Affine | None:
     twice |p| + len(d) |d| Q, where Q = 2**(deg p - deg d) ||p||_2 bounds
     the coefficients of any quotient (Mahler measure: M(q) <= M(p) <=
     ||p||_2, and a coefficient of q is at most 2**deg q M(q)).  libmpdec
-    divides exactly, and the quotient's balanced digits are read back as
-    q.  The result is proved, not trusted: pack(d) pack(q) == pack(p) holds
+    divides exactly, and _unpack reads every balanced digit of the integer
+    quotient, keyed by the exponents of the stride box in slot order, as q.
+    The result is proved, not trusted: pack(d) pack(q) == pack(p) holds
     as integers, q d lies in the stride box (deg q + deg d <= deg p in
     every variable), and every coefficient of p - q d is below half a slot
     (|q| <= Q), so p - q d, which packs to zero, is zero.
@@ -563,18 +592,11 @@ def _exquo(p: Affine, d: Affine) -> Affine | None:
     quotient, remainder = _CTX.divmod(pack(p), pack(d))
     if remainder:
         return None
-    digits = _unpack(str(quotient), width, slots)
-    if not digits:
+    terms = _unpack(str(_CTX.add(quotient, _bias(width, slots))), width, slots,
+                    itertools.product(*(range(x + 1) for x in deg_p)))
+    if not terms or any(abs(c) > q_bound for _, c in terms):
         return None
-    q = {}
-    for idx, c in digits:
-        if abs(c) > q_bound:
-            return None
-        e = []
-        for s in strides:
-            x, idx = divmod(idx, s)
-            e.append(x)
-        q[tuple(e)] = c
+    q = dict(terms)
     if any(max(e[v] for e in q) + deg_d[v] > deg_p[v] for v in range(nvars)):
         return None
     return q

@@ -223,6 +223,64 @@ def _bytes_kron_mul(p1, p2):
     return poly(space, acc_terms)
 
 
+def _two_part_pack(placed, width):
+    """Reference for rational._pack: the positive part minus the negative
+    part, each parsed from its own digit string."""
+    top = max(offset for offset, _ in placed)
+    parts = (["0" * width] * (top + 1), ["0" * width] * (top + 1))  # positive, negative
+    for offset, c in placed:
+        parts[c < 0][top - offset] = str(rational._CTX.create_decimal(abs(c))).zfill(width)
+    positive, negative = (rational._CTX.create_decimal("".join(part)) for part in parts)
+    return rational._CTX.subtract(positive, negative)
+
+
+def _carry_unpack(digits, width, slots):
+    """Reference for rational._unpack: the balanced digits of the decimal
+    integer `digits` as (slot, digit) pairs, read from its magnitude with a
+    carry into the next slot, or None if they need more than `slots` slots."""
+    sign = -1 if digits[0] == "-" else 1
+    first = int(sign < 0)
+    used = -(-(len(digits) - first) // width)
+    if used > slots:
+        return None
+    base = 10**width
+    out = []
+    carry = 0
+    for idx, end in enumerate(range(len(digits), first, -width)):
+        c = int(rational._CTX.create_decimal(digits[max(end - width, first) : end])) + carry
+        carry = c >= base // 2
+        if carry:
+            c -= base
+        if c:
+            out.append((idx, sign * c))
+    if carry:
+        if used == slots:
+            return None
+        out.append((used, sign))
+    return out
+
+
+def _biased_digits(value, width, slots):
+    """What _unpack reads: the digits of value + H."""
+    return str(rational._CTX.add(value, rational._bias(width, slots)))
+
+
+def _bench_skew_entry(b, c):
+    """The n = 6 fiber entry of the bench-shaped skew product
+    (x^2, y^2 + b xy + c x), whose squaring is the bench's largest product."""
+    f = RationalMapDesc(P1xP1, (
+        (poly(P1xP1, {(2, 0, 0, 0): 1}), poly(P1xP1, {(0, 2, 0, 0): 1})),
+        (
+            poly(P1xP1, {(1, 0, 2, 0): 1}),
+            poly(P1xP1, {(1, 0, 0, 2): 1, (0, 1, 1, 1): b, (0, 1, 2, 0): c}),
+        ),
+    ), fibration_dim=1)
+    g = f
+    for _ in range(5):
+        g = compose(f, g)
+    return g.components[1][1]
+
+
 def _draw_factor(data, space, multidegree):
     # at least two terms, so the factor is not a monomial the strip removes
     exps = data.draw(st.permutations(list(_monomials(space, multidegree))))
@@ -399,9 +457,11 @@ class TestMultiHomPoly:
         with pytest.raises(AssertionError, match="overflows its box of 1 slots"):
             _kron_mul(p, p, box._replace(slots=1))
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit limit")
     def test_kronecker_ignores_int_max_str_digits(self):
         # ~700-digit coefficients make slots of ~1,400 digits; int <-> str
-        # refuses both above the limit, so the conversions must not use it
+        # refuses both above the limit, so the slots convert through decimal
         space = Space((1, 1))
         rng = random.Random(41)
         monomials = list(_monomials(space, (4, 7)))
@@ -413,7 +473,9 @@ class TestMultiHomPoly:
         sys.set_int_max_str_digits(640)
         try:
             assert _kron(p, p).terms == _dict_mul(p, p).terms
-            assert _kron(p, q).terms == _dict_mul(p, q).terms
+            product = _kron(p, q)
+            assert product.terms == _dict_mul(p, q).terms
+            assert rational._exquo(dict(product.terms), dict(p.terms)) == dict(q.terms)
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -558,17 +620,7 @@ class TestMultiplicationRoute:
         # a deterministic work count: the slots the n = 6 fiber entry's
         # squaring packs, against the unsheared box from zero, for the
         # bench-shaped skew product (x^2, y^2 + 2xy + 4x)
-        f = RationalMapDesc(P1xP1, (
-            (poly(P1xP1, {(2, 0, 0, 0): 1}), poly(P1xP1, {(0, 2, 0, 0): 1})),
-            (
-                poly(P1xP1, {(1, 0, 2, 0): 1}),
-                poly(P1xP1, {(1, 0, 0, 2): 1, (0, 1, 1, 1): 2, (0, 1, 2, 0): 4}),
-            ),
-        ), fibration_dim=1)
-        g = f
-        for _ in range(5):
-            g = compose(f, g)
-        entry = g.components[1][1]
+        entry = _bench_skew_entry(2, 4)
         u, v = _packed_ends(P1xP1)
         terms = entry.homogeneous_terms()
         unsheared = math.prod(2 * max(e[i] for e, _ in terms) + 1 for i in (u, v))
@@ -576,6 +628,57 @@ class TestMultiplicationRoute:
         assert (len(entry.terms), unsheared) == (1088, 16383)
         assert box.shear == 1
         assert box.slots <= 0.51 * unsheared
+
+
+class TestKroneckerSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pack_then_unpack_returns_the_placed_slots(self, data):
+        width = data.draw(st.integers(1, 70))
+        half = 10**width // 2
+        top = data.draw(st.integers(0, 30))
+        offsets = data.draw(st.sets(st.integers(0, top), max_size=8)) | {top}
+        coefficient = st.one_of(
+            st.integers(-(half - 1), half - 1),
+            st.sampled_from([half - 1, 1 - half, 1, -1]),
+        ).filter(bool)
+        placed = [(offset, data.draw(coefficient)) for offset in sorted(offsets)]
+        if data.draw(st.booleans()):
+            # a negative top slot: its biased digit may be shorter than a slot
+            placed[-1] = (top, -data.draw(st.integers(1, half - 1)))
+        slots = top + 1 + data.draw(st.sampled_from([0, 0, 1, 3]))
+        value = rational._pack(placed, width)
+        assert value == _two_part_pack(placed, width)
+        read = rational._unpack(_biased_digits(value, width, slots), width, slots, range(slots))
+        assert read == placed
+        assert read == _carry_unpack(str(value), width, slots)
+        # one slot too long, for either sign
+        for sign in (1, -1):
+            longer = rational._pack([*placed, (slots, sign * data.draw(coefficient.map(abs)))],
+                                    width)
+            assert rational._unpack(
+                _biased_digits(longer, width, slots), width, slots, range(slots)) is None
+            assert _carry_unpack(str(longer), width, slots) is None
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "alternating"])
+    def test_central_coefficient_at_the_slot_bound(self, sign):
+        # 1118^2 (1 + x + x^2 + x^3)^2 has central coefficient 4 * 1118^2 =
+        # 4,999,696; the slots are 7 digits, half of 10**7 is 5,000,000, and
+        # the biased digit is 9,999,696, or 304 with alternating signs
+        p1 = Space((1,))
+        p = poly(p1, {(k, 3 - k): 1118 * sign**k for k in range(4)})
+        product = _kron(p, p)
+        assert product.terms == _dict_mul(p, p).terms
+        assert dict(product.homogeneous_terms())[(3, 3)] == sign * 4_999_696
+
+    @pytest.mark.parametrize("b, c, terms, product_terms", [
+        (2, 4, 1088, 4222), (5, -1, 1072, 4158),
+    ])
+    def test_bench_largest_product_matches_byte_slots(self, b, c, terms, product_terms):
+        entry = _bench_skew_entry(b, c)
+        square = _kron(entry, entry)
+        assert (len(entry.terms), len(square.terms)) == (terms, product_terms)
+        assert square.terms == _bytes_kron_mul(entry, entry).terms
 
 
 class TestReduceTuple:
