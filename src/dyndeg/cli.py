@@ -375,10 +375,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ output
 
 
-_DEGREES_COLUMNS = [
-    "profile", "kind", "p", "value", "source", "converged",
-    "root_estimate", "ratio_estimate", "window_estimate", "chosen",
-]
+_ESTIMATE_COLUMNS = ["root_estimate", "ratio_estimate", "window_estimate", "chosen"]
+_DEGREES_COLUMNS = ["profile", "kind", "p", "value", "source", "converged", *_ESTIMATE_COLUMNS]
 _SEQUENCE_COLUMNS = ["kind", "p", "q", "n", "value", "root_est", "ratio_est"]
 _VERIFY_COLUMNS = ["check", "p", "j", "status", "lhs", "rhs", "rel_error", "argmax"]
 _SUITE_COLUMNS = ["property", "status", "rows"]
@@ -400,12 +398,8 @@ def _degrees_rows(profiles: dict[str, DegreeProfile]) -> list[dict]:
                         value=f"{v.value:.12g}", source=v.source, converged=v.converged
                     )
                     if v.estimate is not None:
-                        row.update(
-                            root_estimate=f"{v.estimate.root_estimate:.12g}",
-                            ratio_estimate=f"{v.estimate.ratio_estimate:.12g}",
-                            window_estimate=f"{v.estimate.window_estimate:.12g}",
-                            chosen=f"{v.estimate.chosen:.12g}",
-                        )
+                        row.update((c, f"{getattr(v.estimate, c):.12g}")
+                                   for c in _ESTIMATE_COLUMNS)
                 rows.append(row)
     return rows
 

@@ -17,6 +17,7 @@ exact regardless of size.  Nothing here uses floats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -95,20 +96,8 @@ def degree_exponents(space: Space, p: int) -> Iterator[tuple[int, ...]]:
     """Iterate the monomial basis exponents of degree p (lexicographic)."""
     if not 0 <= p <= space.dim:
         raise DegreeRangeError(f"degree {p} out of range 0..{space.dim}")
-    bounds = space.factors
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(bounds):
-            if remaining == 0:
-                yield prefix
-            return
-        tail_capacity = sum(bounds[i + 1 :])
-        lo = max(0, remaining - tail_capacity)
-        hi = min(bounds[i], remaining)
-        for e in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - e, prefix + (e,))
-
-    return rec(0, p, ())
+    return (e for e in itertools.product(*(range(n + 1) for n in space.factors))
+            if sum(e) == p)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
@@ -53,6 +53,14 @@ _TIE_TOL = 1e-9
 
 def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+def _field_dict(record, **report) -> dict:
+    """The report dict of a dataclass record: every field by name, read
+    without a copy, then report's entries, which replace or add keys."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    out.update(report)
+    return out
 
 
 def window_stride(n_max: int) -> int:
@@ -92,18 +100,7 @@ class DegreeEstimate:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "root_estimate": self.root_estimate,
-            "ratio_estimate": self.ratio_estimate,
-            "window_estimate": self.window_estimate,
-            "trend_estimate": self.trend_estimate,
-            "converged": self.converged,
-            "window_converged": self.window_converged,
-            "trend_converged": self.trend_converged,
-            "chosen": self.chosen,
-            "settled": self.settled,
-            "tolerance": self.tolerance,
-        }
+        return _field_dict(self)
 
 
 def _trend_growth(values: Sequence[int], start: int, stop: int) -> float:
@@ -126,7 +123,7 @@ def estimate(values: Sequence[int], tol: float = DEFAULT_ESTIMATE_TOL) -> Degree
     n_max = len(values) - 1
     root = math.exp(math.log(values[n_max]) / n_max)
     ratios = [values[n] / values[n - 1] for n in range(2, n_max + 1)]
-    ratio = ratios[-1] if ratios else values[1] / values[0]
+    ratio = ratios[-1]
     converged = len(ratios) >= 3 and all(
         _rel_diff(a, b) < tol
         for a in ratios[-3:]
@@ -176,12 +173,8 @@ class DegreeValue:
         return cls(est.chosen, "estimated", est.settled, est)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "source": self.source,
-            "converged": self.converged,
-            "estimate": None if self.estimate is None else self.estimate.to_dict(),
-        }
+        est = None if self.estimate is None else self.estimate.to_dict()
+        return _field_dict(self, estimate=est)
 
 
 def estimated_value(values: Sequence[int], tol: float) -> DegreeValue | None:
@@ -199,7 +192,8 @@ class DegreeProfile:
     cannot produce that grading, e.g. middle degrees of general rational
     maps); base and relative are graded over the base dimension and fiber
     dimension respectively, and are None for unfibered maps.  Every check
-    compares at tolerance, which to_dict leaves out: estimates report theirs.
+    compares at tolerance.  to_dict leaves it out: it sets the checks, not a
+    degree, and each estimate reports the tolerance it was made at.
     """
 
     dim: int
@@ -229,14 +223,10 @@ class DegreeProfile:
                 return None
             return [None if v is None else v.to_dict() for v in values]
 
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "base_dim": self.base_dim,
-            "degrees": row(self.degrees),
-            "base": row(self.base),
-            "relative": row(self.relative),
-        }
+        out = _field_dict(self, degrees=row(self.degrees), base=row(self.base),
+                          relative=row(self.relative))
+        del out["tolerance"]
+        return out
 
 
 class VerdictStatus(enum.Enum):
@@ -258,11 +248,7 @@ class Verdict:
         return self.status is VerdictStatus.PASS
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status.value,
-            "rows": [dict(r) for r in self.rows],
-        }
+        return _field_dict(self, status=self.status.value, rows=[dict(r) for r in self.rows])
 
 
 def combine_rows(name: str, rows: Sequence[dict]) -> Verdict:

@@ -11,8 +11,8 @@ Three deliberately separate routes live here:
   to 60 digits by mpmath's polyroots from that start; if the start is
   unusable or the polish does not converge, polyroots runs once more from
   its own cold start.  Root moduli are memoized by polynomial.  The
-  degree-p reference value is the product of the p largest root moduli.  Nothing is shared with the
-  compound-matrix engine beyond the input matrix.
+  degree-p reference value is the product of the p largest root moduli.
+  Nothing is shared with the compound-matrix engine beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
   multiplies term lists outright with truncation and no intermediate

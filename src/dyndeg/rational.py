@@ -990,8 +990,8 @@ def base_map(f: RationalMapDesc) -> RationalMapDesc:
     Base entries have fiber degree 0, so their stored fiber exponents are 0
     and cutting them off keeps the term order.
     """
-    l = f.fibered_space.base_factors
-    base_space = Space(f.space.factors[:l])
+    base_space = f.fibered_space.base_space()
+    l = f.fibration_dim
     keep = base_space.dim
     components = tuple(
         tuple(

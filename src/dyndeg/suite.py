@@ -42,6 +42,7 @@ from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     Verdict,
     VerdictStatus,
+    _field_dict,
     combine_rows,
     distinctness_implication,
     monomial_oracle_profile,
@@ -69,13 +70,7 @@ class SuiteReport:
         return self.status is VerdictStatus.PASS
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
+        return _field_dict(self, passed=self.passed, verdicts=[v.to_dict() for v in self.verdicts])
 
 
 def spectral_product_formula_property(rng: random.Random) -> Verdict:

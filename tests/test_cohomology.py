@@ -90,6 +90,16 @@ class TestDegreeExponents:
         got = set(degree_exponents(MIXED, 2))
         assert got == {(0, 2), (1, 1)}
 
+    def test_lexicographic_order(self):
+        # random_effective_class draws coefficients in this order
+        assert list(degree_exponents(Space((2, 1, 3)), 3)) == [
+            (0, 0, 3), (0, 1, 2), (1, 0, 2), (1, 1, 1), (2, 0, 1), (2, 1, 0),
+        ]
+
+    def test_out_of_range_raises_at_call(self):
+        with pytest.raises(DegreeRangeError):
+            degree_exponents(MIXED, 4)
+
 
 class TestCohClass:
     def test_make_validates_degree(self):
