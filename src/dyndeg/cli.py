@@ -32,7 +32,9 @@ command exits 1 otherwise.
 
 Command-line --n-max/--tol/--seed override the job file.  Reports carry no
 timestamps and JSON output is sorted, so a fixed job and seed reproduce
-byte-identical output.
+byte-identical output.  main reuses one parser per process (each call still
+parses into a fresh namespace), and builds table and csv rows only for the
+formats that print them.
 
 Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
 before any work), 2 computation error (collapse, root-finding failure, a
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -56,7 +59,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import monomial, rational, suite as suite_mod
 from .cohomology import Space
@@ -276,7 +279,7 @@ def cmd_degrees(args: argparse.Namespace) -> int:
         "profiles": {name: prof.to_dict() for name, prof in profiles.items()},
         "checks": checks,
     }
-    _emit(args, report, _degrees_rows(profiles), _DEGREES_COLUMNS)
+    _emit(args, report, lambda: _degrees_rows(profiles), _DEGREES_COLUMNS)
     return EXIT_OK
 
 
@@ -301,22 +304,7 @@ def cmd_verify_product(args: argparse.Namespace) -> int:
         "checks": checks,
         "status": overall,
     }
-    rows = []
-    for cname, verdict in checks.items():
-        for r in verdict["rows"]:
-            rows.append(
-                {
-                    "check": cname,
-                    "p": r.get("p", ""),
-                    "j": r.get("j", ""),
-                    "status": r["status"],
-                    "lhs": r.get("lhs", ""),
-                    "rhs": r.get("rhs", r.get("bound", "")),
-                    "rel_error": r.get("rel_error", ""),
-                    "argmax": ";".join(map(str, r.get("argmax", []))),
-                }
-            )
-    _emit(args, report, rows, _VERIFY_COLUMNS)
+    _emit(args, report, lambda: _verify_rows(checks), _VERIFY_COLUMNS)
     return EXIT_CHECK_FAILED if overall == "FAIL" else EXIT_OK
 
 
@@ -339,21 +327,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         "truncated": truncated,
         "sequences": enriched,
     }
-    rows = []
-    for seq in enriched:
-        values = seq["values"]
-        for n, v in enumerate(values):
-            row = {
-                "kind": seq["kind"], "p": seq["p"],
-                "q": "" if seq["q"] is None else seq["q"],
-                "n": n, "value": v, "root_est": "", "ratio_est": "",
-            }
-            if n >= 1:
-                row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
-            if n >= 2:
-                row["ratio_est"] = f"{v / values[n - 1]:.12g}"
-            rows.append(row)
-    _emit(args, report, rows, _SEQUENCE_COLUMNS)
+    _emit(args, report, lambda: _sequence_rows(enriched), _SEQUENCE_COLUMNS)
     return EXIT_OK
 
 
@@ -364,11 +338,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     _check_settings(n_max, tol)
     report_obj = suite_mod.run_suite(seed, n_max, tol)
     report = {"command": "suite", **report_obj.to_dict(), "status": report_obj.status.value}
-    rows = [
-        {"property": v.name, "status": v.status.value, "rows": len(v.rows)}
-        for v in report_obj.verdicts
-    ]
-    _emit(args, report, rows, _SUITE_COLUMNS)
+    _emit(args, report, lambda: _suite_rows(report_obj), _SUITE_COLUMNS)
     return EXIT_OK if report_obj.passed else EXIT_CHECK_FAILED
 
 
@@ -404,8 +374,53 @@ def _degrees_rows(profiles: dict[str, DegreeProfile]) -> list[dict]:
     return rows
 
 
-def _emit(args: argparse.Namespace, report: dict, rows: list[dict],
+def _verify_rows(checks: dict[str, dict]) -> list[dict]:
+    rows = []
+    for cname, verdict in checks.items():
+        for r in verdict["rows"]:
+            rows.append(
+                {
+                    "check": cname,
+                    "p": r.get("p", ""),
+                    "j": r.get("j", ""),
+                    "status": r["status"],
+                    "lhs": r.get("lhs", ""),
+                    "rhs": r.get("rhs", r.get("bound", "")),
+                    "rel_error": r.get("rel_error", ""),
+                    "argmax": ";".join(map(str, r.get("argmax", []))),
+                }
+            )
+    return rows
+
+
+def _sequence_rows(sequences: list[dict]) -> list[dict]:
+    rows = []
+    for seq in sequences:
+        values = seq["values"]
+        for n, v in enumerate(values):
+            row = {
+                "kind": seq["kind"], "p": seq["p"],
+                "q": "" if seq["q"] is None else seq["q"],
+                "n": n, "value": v, "root_est": "", "ratio_est": "",
+            }
+            if n >= 1:
+                row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
+            if n >= 2:
+                row["ratio_est"] = f"{v / values[n - 1]:.12g}"
+            rows.append(row)
+    return rows
+
+
+def _suite_rows(report: suite_mod.SuiteReport) -> list[dict]:
+    return [
+        {"property": v.name, "status": v.status.value, "rows": len(v.rows)}
+        for v in report.verdicts
+    ]
+
+
+def _emit(args: argparse.Namespace, report: dict, rows: Callable[[], list[dict]],
           columns: list[str]) -> None:
+    """Writes the report; rows() builds the table/csv rows, so json never does."""
     fmt = args.format
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -414,10 +429,10 @@ def _emit(args: argparse.Namespace, report: dict, rows: list[dict],
         writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
                                 extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(rows())
         text = buffer.getvalue()
     else:
-        text = _table(rows, columns)
+        text = _table(rows(), columns)
         status = report.get("status")
         if status:
             text += f"overall: {status}\n"
@@ -498,10 +513,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads: built once per process, until cache_clear.
+
+    build_parser stays fresh for callers that may change the parser it
+    returns; parse_args keeps nothing from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_JOB
     try:

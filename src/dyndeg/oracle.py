@@ -10,9 +10,11 @@ Three deliberately separate routes live here:
   first approximated by Aberth iteration in complex doubles, then polished
   to 60 digits by mpmath's polyroots from that start; if the start is
   unusable or the polish does not converge, polyroots runs once more from
-  its own cold start.  Root moduli are memoized by polynomial.  The
-  degree-p reference value is the product of the p largest root moduli.
-  Nothing is shared with the compound-matrix engine beyond the input matrix.
+  its own cold start.  mpmath is imported by the first root-finding, not
+  with this module, and ``oracle.mp`` names it.  Root moduli are memoized
+  by polynomial.  The degree-p reference value is the product of the p
+  largest root moduli.  Nothing is shared with the compound-matrix engine
+  beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
   multiplies term lists outright with truncation and no intermediate
@@ -32,11 +34,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import mpmath as mp
-
 from .cohomology import CohClass, Space, unit_class
 from .intmat import freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
+
+
+def __getattr__(name: str):
+    """``oracle.mp`` is mpmath, imported on first use (PEP 562).
+
+    The root-finders import it locally, so a job that finds no roots never
+    loads it, and a patch on ``oracle.mp.polyroots`` is the one they call.
+    """
+    if name == "mp":
+        import mpmath
+
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RootFindingError(RuntimeError):
@@ -147,6 +160,8 @@ def _factor_roots(coeffs: list[int]) -> list:
     start, or the warm-started iteration does not converge, the cold start
     runs once before RootFindingError is raised.
     """
+    import mpmath as mp
+
     start = _aberth_start(coeffs)
     if start is not None and all(cmath.isfinite(z) for z in start):
         try:
@@ -260,6 +275,8 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     float.  The result is memoized by polynomial: a matrix, its transpose
     and a repeated block share one root-finding.
     """
+    import mpmath as mp
+
     moduli: list[float] = []
     with mp.workdps(_ORACLE_DPS):
         for factor, multiplicity in _square_free_split(poly):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -544,22 +545,192 @@ class TestErrorHandling:
         assert "dominan" in err.lower()
 
 
-# Runs in a fresh interpreter: monomial, certified-coprime and Lyness jobs,
-# then a tuple with the planted common factor x0 + 2 x1, which needs the
-# exact gcd.  None of them may import sympy.
+class TestSharedParser:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the parsers main builds, from a cleared cache."""
+        real = cli.build_parser
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_one_parser_keeps_no_state_between_calls(self, capsys, monomial_job, builds):
+        def n_max(*flags):
+            code, out, _ = run(capsys, "degrees", "--input", monomial_job,
+                               "--format", "json", *flags)
+            assert code == 0
+            return json.loads(out)["job"]["n_max"]
+
+        assert n_max("--n-max", "5") == 5
+        assert n_max() == 10  # from the job file, not the previous call
+        assert run(capsys, "degrees", "--input", monomial_job, "--n-max", "x")[0] == 1
+        assert n_max() == 10
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "usage: dyndeg" in out
+        assert n_max() == 10
+        assert len(builds) == 1
+        cli._parser.cache_clear()
+        assert n_max() == 10
+        assert len(builds) == 2
+
+
+# Reference copies of the commands' row loops, reading the JSON report in
+# place of the records the commands hold.
+_ESTIMATE_COLUMNS = ["root_estimate", "ratio_estimate", "window_estimate", "chosen"]
+
+
+def _degrees_rows(report):
+    rows = []
+    for pname, prof in report["profiles"].items():
+        parts = [("total", prof["degrees"])]
+        if prof["base"] is not None:
+            parts += [("base", prof["base"]), ("relative", prof["relative"])]
+        for kind, values in parts:
+            for p, v in enumerate(values):
+                row = {"profile": pname, "kind": kind, "p": p}
+                if v is None:
+                    row.update(value="", source="unavailable", converged="")
+                else:
+                    row.update(value=f"{v['value']:.12g}", source=v["source"],
+                               converged=v["converged"])
+                    if v["estimate"] is not None:
+                        row.update((c, f"{v['estimate'][c]:.12g}")
+                                   for c in _ESTIMATE_COLUMNS)
+                rows.append(row)
+    return rows
+
+
+def _verify_rows(report):
+    # the command lists each profile's checks in this order; json sorts them
+    order = [f"{check}_{profile}" for profile in ("engine", "oracle")
+             for check in ("product_formula", "lower_bound", "distinctness")]
+    rows = []
+    for cname in (name for name in order if name in report["checks"]):
+        for r in report["checks"][cname]["rows"]:
+            rows.append({
+                "check": cname,
+                "p": r.get("p", ""),
+                "j": r.get("j", ""),
+                "status": r["status"],
+                "lhs": r.get("lhs", ""),
+                "rhs": r.get("rhs", r.get("bound", "")),
+                "rel_error": r.get("rel_error", ""),
+                "argmax": ";".join(map(str, r.get("argmax", []))),
+            })
+    return rows
+
+
+def _sequence_rows(report):
+    rows = []
+    for seq in report["sequences"]:
+        values = seq["values"]
+        for n, v in enumerate(values):
+            row = {
+                "kind": seq["kind"], "p": seq["p"],
+                "q": "" if seq["q"] is None else seq["q"],
+                "n": n, "value": v, "root_est": "", "ratio_est": "",
+            }
+            if n >= 1:
+                row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
+            if n >= 2:
+                row["ratio_est"] = f"{v / values[n - 1]:.12g}"
+            rows.append(row)
+    return rows
+
+
+def _suite_rows(report):
+    return [{"property": v["name"], "status": v["status"], "rows": len(v["rows"])}
+            for v in report["verdicts"]]
+
+
+_ROWS = {
+    "degrees": (_degrees_rows, cli._DEGREES_COLUMNS),
+    "verify-product": (_verify_rows, cli._VERIFY_COLUMNS),
+    "sequence": (_sequence_rows, cli._SEQUENCE_COLUMNS),
+    "suite": (_suite_rows, cli._SUITE_COLUMNS),
+}
+
+
+class TestReportRows:
+    @pytest.mark.parametrize("argv", [
+        ("degrees", "monomial_job"),
+        ("verify-product", "monomial_job"),
+        ("sequence", "monomial_job"),
+        ("degrees", "skew_job"),
+        ("verify-product", "skew_job"),
+        ("sequence", "skew_job"),
+        ("suite", "--n-max", "12"),
+    ], ids="-".join)
+    def test_table_and_csv_match_rows_rebuilt_from_json(self, capsys, request, argv):
+        command, *rest = argv
+        if rest and rest[0].endswith("_job"):  # the README skew job or a fibred monomial one
+            rest = ["--input", request.getfixturevalue(rest[0])]
+        code, out, err = run(capsys, command, *rest, "--format", "json")
+        report = json.loads(out)
+        build, columns = _ROWS[command]
+        rows = build(report)
+        assert rows
+
+        table = cli._table(rows, columns)
+        if "status" in report:
+            table += f"overall: {report['status']}\n"
+        assert run(capsys, command, *rest, "--format", "table") == (code, table, err)
+
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
+                                extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert run(capsys, command, *rest, "--format", "csv") == (code, buffer.getvalue(), err)
+
+    def test_json_builds_no_rows(self, capsys, monkeypatch, monomial_job, skew_job):
+        class RowsBuilt(Exception):
+            pass
+
+        def refuse(*_args):
+            raise RowsBuilt
+
+        for name in ("_degrees_rows", "_verify_rows", "_sequence_rows", "_suite_rows"):
+            monkeypatch.setattr(cli, name, refuse)
+        for job in (monomial_job, skew_job):
+            for command in ("degrees", "verify-product", "sequence"):
+                code, out, _ = run(capsys, command, "--input", job, "--format", "json")
+                assert code == 0 and json.loads(out)["command"] == command
+        code, out, _ = run(capsys, "suite", "--n-max", "5", "--format", "json")
+        assert code == 3 and json.loads(out)["command"] == "suite"
+
+
+# Runs in a fresh interpreter: certified-coprime, skew and Lyness jobs, then
+# monomial jobs, then a tuple with the planted common factor x0 + 2 x1, which
+# needs the exact gcd.  None of them may import sympy, and mpmath loads only
+# once the monomial oracle finds roots.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from dyndeg import cli
 
+mpmath = {"import": "mpmath" in sys.modules}
 monomial, coprime, skew, lyness = sys.argv[1:]
-runs = [[command, "--input", monomial] for command in ("degrees", "verify-product", "sequence")]
-runs += [["suite", "--n-max", "5"], ["sequence", "--input", coprime]]
-runs += [[command, "--input", skew] for command in ("degrees", "sequence")]
-runs += [[command, "--input", lyness] for command in ("degrees", "sequence")]
 codes = []
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
+
+def run(*runs):
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(argv))
+
+run(*[[command, "--input", job] for job in (coprime, skew, lyness)
+      for command in ("degrees", "sequence")])
+mpmath["rational_jobs"] = "mpmath" in sys.modules
+run(["degrees", "--input", monomial])
+mpmath["monomial_degrees"] = "mpmath" in sys.modules
+run(*[[command, "--input", monomial] for command in ("verify-product", "sequence")])
+run(["suite", "--n-max", "5"])
 after_jobs = "sympy" in sys.modules
 
 from dyndeg.cohomology import Space
@@ -570,7 +741,7 @@ g = MultiHomPoly.make(p1, {(1, 0): 1, (0, 1): 2})
 p = MultiHomPoly.make(p1, {(2, 0): 1, (0, 2): 3})
 q = MultiHomPoly.make(p1, {(2, 0): 1, (1, 1): 1, (0, 2): -1})
 reduced = reduce_tuple(p1, (g * p, g * q)) == (p, q)
-print(json.dumps({"codes": codes, "sympy_after_jobs": after_jobs,
+print(json.dumps({"codes": codes, "sympy_after_jobs": after_jobs, "mpmath": mpmath,
                   "reduced": reduced, "sympy_after_gcd": "sympy" in sys.modules}))
 """
 
@@ -621,8 +792,10 @@ class TestImportHygiene:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {
-            "codes": [0, 0, 0, 3, 0, 0, 0, 0, 0],  # suite --n-max 5 is INCONCLUSIVE: exit 3
+            # rational, then monomial jobs; suite --n-max 5 is INCONCLUSIVE: exit 3
+            "codes": [0, 0, 0, 0, 0, 0, 0, 0, 0, 3],
             "sympy_after_jobs": False,
+            "mpmath": {"import": False, "rational_jobs": False, "monomial_degrees": True},
             "reduced": True,
             "sympy_after_gcd": False,
         }
