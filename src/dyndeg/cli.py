@@ -38,8 +38,9 @@ formats that print them.
 
 Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
 before any work), 2 computation error (collapse, root-finding failure, a
-degree's n-th root beyond the float range, an exact gcd out of evaluation
-points), 3 a verification FAIL.
+degree estimate beyond the float range, an exact gcd out of evaluation
+points), 3 a verification FAIL.  The root_est column of sequence rows
+prints any n-th root, past the float range too (1e+400).
 verify-product reports an INCONCLUSIVE check and exits 0; suite exits 3
 unless every property passes, so an INCONCLUSIVE suite exits 3 too.  A
 rational iteration stopped by the degree cap before the requested iterate
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -404,7 +406,12 @@ def _sequence_rows(sequences: list[dict]) -> list[dict]:
                 "n": n, "value": v, "root_est": "", "ratio_est": "",
             }
             if n >= 1:
-                row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
+                try:
+                    row["root_est"] = f"{math.exp(math.log(v) / n):.12g}"
+                except OverflowError:  # past the float range: 30 digits, printed as .12g would
+                    context = decimal.Context(prec=30)
+                    root = context.power(v, context.divide(1, n))
+                    row["root_est"] = f"{root.normalize(decimal.Context(prec=12)):g}"
             if n >= 2:
                 row["ratio_est"] = f"{v / values[n - 1]:.12g}"
             rows.append(row)

@@ -187,21 +187,22 @@ def unit_class(space: Space) -> CohClass:
     return CohClass.make(space, 0, {(0,) * space.num_factors: 1})
 
 
+def _hyperplane_sum(space: Space, factors: Iterable[int]) -> CohClass:
+    """The sum of the hyperplane classes h_i over the factor indices i."""
+    m = space.num_factors
+    return CohClass.make(space, 1, {tuple(int(j == i) for j in range(m)): 1 for i in factors})
+
+
 def hyperplane(space: Space, i: int) -> CohClass:
     """The hyperplane class h_i of the i-th factor (0-based)."""
     if not 0 <= i < space.num_factors:
         raise DegreeRangeError(f"factor index {i} out of range")
-    e = tuple(1 if j == i else 0 for j in range(space.num_factors))
-    return CohClass.make(space, 1, {e: 1})
+    return _hyperplane_sum(space, [i])
 
 
 def kaehler_class(space: Space) -> CohClass:
     """omega_X = h_1 + ... + h_m."""
-    coeffs = {}
-    for i in range(space.num_factors):
-        e = tuple(1 if j == i else 0 for j in range(space.num_factors))
-        coeffs[e] = 1
-    return CohClass.make(space, 1, coeffs)
+    return _hyperplane_sum(space, range(space.num_factors))
 
 
 def mul(c1: CohClass, c2: CohClass) -> CohClass:
@@ -247,14 +248,19 @@ def pairings(classes: Iterable[CohClass], weight: CohClass) -> list[int]:
     lookup = {tuple(n - x for n, x in zip(top, e)): b for e, b in weight.terms}
     out = []
     for c in classes:
-        if c.space != space:
+        if c.space is not space and c.space != space:
             raise SpaceMismatchError("cannot pair classes on different spaces")
         if c.degree + weight.degree != space.dim:
             raise DegreeRangeError(
                 f"pairing needs complementary degrees, "
                 f"got {c.degree} + {weight.degree} != {space.dim}"
             )
-        out.append(sum(a * lookup.get(e, 0) for e, a in c.terms))
+        total = 0
+        for e, a in c.terms:
+            b = lookup.get(e)
+            if b:  # most weights vanish on part of the basis
+                total += a * b
+        out.append(total)
     return out
 
 
@@ -279,19 +285,13 @@ def base_pullback_power(space: Space, j: int) -> CohClass:
     j-th power is supported on base exponents only.  Powers beyond the base
     dimension are rejected rather than silently returned as zero.
     """
-    if space.base_factors is None:
-        raise FibrationError("space has no fibration marked")
     if not 0 <= j <= space.base_dim:
         raise DegreeRangeError(
             f"base power {j} out of range 0..{space.base_dim}"
         )
     if j == 0:
         return unit_class(space)
-    coeffs = {}
-    for i in range(space.base_factors):
-        e = tuple(1 if t == i else 0 for t in range(space.num_factors))
-        coeffs[e] = 1
-    omega_base = CohClass.make(space, 1, coeffs)
+    omega_base = _hyperplane_sum(space, range(space.base_factors))
     return mul(base_pullback_power(space, j - 1), omega_base)
 
 
@@ -311,8 +311,6 @@ def alpha_weight(space: Space, p: int, j: int) -> CohClass:
     exponents would be negative or exceed the base, and we raise instead of
     zeroing.
     """
-    if space.base_factors is None:
-        raise FibrationError("alpha needs a marked fibration")
     big_l = space.base_dim
     window = admissible_window(p, big_l, space.dim - big_l)
     if j not in window:
@@ -323,6 +321,34 @@ def alpha_weight(space: Space, p: int, j: int) -> CohClass:
         base_pullback_power(space, big_l - j),
         kaehler_power(space, space.dim - big_l - p + j),
     )
+
+
+def mixed_window(space: Space, p: int) -> range:
+    """The q of the mixed sequences a_{q,p} on a fibred space: q = p - j
+    over alpha's window, which is that window with base and fiber swapped."""
+    big_l = space.base_dim
+    return admissible_window(p, space.dim - big_l, big_l)
+
+
+def sequence_pairings(table: Iterable[CohClass], space: Space, p: int, kind: str,
+                      q: int | None = None) -> list[int]:
+    """Pairs each degree-p class of table, a pullback (f^n)^* omega^p, with
+    the one weight of kind: omega^{k-p} for total, the degrees d_p(f^n);
+    alpha_weight(., p, 0) for relative, d_p(f^n | pi); alpha_weight(., p,
+    p - q) for mixed, a_{q,p} with q in mixed_window; for summed, b_p, the
+    sum of the mixed weights, as a pairing is linear in its weight.  The
+    last three kinds need a fibred space.  No other code picks these weights.
+    """
+    if kind == "total":
+        weight = kaehler_power(space, space.dim - p)
+    elif kind in ("relative", "mixed"):  # relative is the extreme mixed a_{p,p}
+        weight = alpha_weight(space, p, 0 if kind == "relative" else p - q)
+    elif kind == "summed":
+        weight = sum((alpha_weight(space, p, p - q) for q in mixed_window(space, p)),
+                     zero_class(space, space.dim - p))
+    else:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    return pairings(table, weight)
 
 
 def alpha(c: CohClass, j: int) -> int:

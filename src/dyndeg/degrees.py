@@ -37,14 +37,8 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import monomial, oracle, rational
-from .cohomology import (
-    CohClass,
-    FibrationError,
-    admissible_window,
-    alpha_weight,
-    kaehler_power,
-    pairings,
-)
+from .cohomology import (CohClass, FibrationError, admissible_window, mixed_window,
+                         sequence_pairings)
 
 DEFAULT_ESTIMATE_TOL = 5e-2
 DEFAULT_EXACT_TOL = 1e-9
@@ -440,25 +434,29 @@ def _record(kind: str, p: int, values: list[int], q: int | None = None) -> dict:
     return {"kind": kind, "p": p, "q": q, "values": values}
 
 
+def _paired(tables: dict[int, list[CohClass]], f: monomial.MonomialMap, kind: str, p: int,
+            q: int | None = None) -> dict:
+    """The record of kind that the pullback table of grading p reads."""
+    return _record(kind, p, sequence_pairings(tables[p], f.space, p, kind, q), q)
+
+
 def _monomial_records(
     f: monomial.MonomialMap, n_max: int, grading: Sequence[int]
 ) -> tuple[list[dict], dict[int, list[CohClass]]]:
     """The total records of the gradings in grading and, for a fibred f,
     every base and relative record, with the pullback tables they read.
 
-    Total and relative records of grading p pair the same table, against
-    the mass weight omega^{k-p} and against alpha_weight(., p, 0).
+    Total and relative records of grading p pair the same table, each
+    against its kind's weight (cohomology.sequence_pairings).
     """
-    k, l, space = f.dim, f.fibration_dim, f.space
+    k, l = f.dim, f.fibration_dim
     needed = set(grading) if l is None else set(grading) | set(range(k - l + 1))
     tables = {p: monomial.pullback_class_sequence(f, p, n_max) for p in sorted(needed)}
-    out = [_record("total", p, pairings(tables[p], kaehler_power(space, k - p)))
-           for p in grading]
+    out = [_paired(tables, f, "total", p) for p in grading]
     if l is not None:
         out += [_record("base", j, monomial.c_p_sequence(f.base_block(), j, n_max))
                 for j in range(l + 1)]
-        out += [_record("relative", p, pairings(tables[p], alpha_weight(space, p, 0)))
-                for p in range(k - l + 1)]
+        out += [_paired(tables, f, "relative", p) for p in range(k - l + 1)]
     return out, tables
 
 
@@ -472,15 +470,13 @@ def monomial_sequences(
     grading in grading and, for a fibred f, every base and relative
     sequence, then the mixed sequences a_{q,p} and their sum b_p for each
     grading in grading.  Every record of grading p pairs the one pullback
-    table of p against its weight.
+    table of p against its kind's weight (cohomology.sequence_pairings).
     """
     out, tables = _monomial_records(f, n_max, grading)
     if f.fibration_dim is not None:
         for p in grading:
-            mixed = {q: pairings(tables[p], alpha_weight(f.space, p, p - q))
-                     for q in monomial.admissible_q(f, p)}
-            out += [_record("mixed", p, values, q) for q, values in mixed.items()]
-            out.append(_record("summed", p, [sum(column) for column in zip(*mixed.values())]))
+            out += [_paired(tables, f, "mixed", p, q) for q in mixed_window(f.space, p)]
+            out.append(_paired(tables, f, "summed", p))
     return out
 
 

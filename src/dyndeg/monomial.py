@@ -16,11 +16,11 @@ integers, multiplicative over subsets (Cauchy-Binet), and with n-th roots
 converging to the products of the p largest eigenvalue moduli.
 
 Every sequence here reads one table, the classes (f^n)^* omega^p for
-n = 0..N from pullback_class_sequence, and pairs the whole table against
-one fixed weight class with cohomology.pairings: the total sequence takes
-the mass weight omega^{k-p}, the relative and mixed sequences take
+n = 0..N from pullback_class_sequence, and cohomology.sequence_pairings
+pairs the whole table against its kind's one weight class: the total
+sequence takes omega^{k-p}, the relative and mixed sequences take
 alpha_weight(., p, j) (relative is j = 0, a_{q,p} is j = p - q), and the
-summed sequence b_p adds the mixed pairings over the admissible window.
+summed sequence b_p the sum of the mixed weights over the window.
 
 The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
 signed int with entry T in a fixed-width slot T, wide enough for a sign
@@ -46,10 +46,9 @@ from .cohomology import (
     DegreeRangeError,
     FibrationError,
     Space,
-    admissible_window,
-    alpha_weight,
     kaehler_power,
-    pairings,
+    mixed_window,
+    sequence_pairings,
 )
 from .intmat import IntMatrix, det, freeze, submatrix
 
@@ -221,22 +220,18 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
 
 def lambda_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """lambda_p(f^n) = mass((f^n)^* omega^p) for n = 0..n_max."""
-    return pairings(pullback_class_sequence(f, p, n_max), kaehler_power(f.space, f.dim - p))
+    return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "total")
 
 
 def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """Relative degree sequence alpha((f^n)^* omega^p, 0): the pullback class
     cut down by the full base power.  Defined for 0 <= p <= k - l."""
-    return pairings(pullback_class_sequence(f, p, n_max), alpha_weight(f.space, p, 0))
+    return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "relative")
 
 
 def admissible_q(f: MonomialMap, p: int) -> range:
-    """The q of the mixed sequences a_{q,p}: q = p - j over alpha's window,
-    which is that window with base and fiber swapped."""
-    if f.fibration_dim is None:
-        raise FibrationError("relative sequences need a marked fibration")
-    big_l = f.space.base_dim
-    return admissible_window(p, f.dim - big_l, big_l)
+    """The q of the mixed sequences a_{q,p}: cohomology.mixed_window."""
+    return mixed_window(f.space, p)
 
 
 def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
@@ -245,7 +240,7 @@ def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:
     Admissible window: max(0, p-l) <= q <= min(p, k-l).  At q = p this is
     lambda_relative_sequence.
     """
-    return pairings(pullback_class_sequence(f, p, n_max), alpha_weight(f.space, p, p - q))
+    return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "mixed", q)
 
 
 def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
@@ -254,9 +249,7 @@ def b_p_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     The n-th roots converge to the same limit as lambda_p's: the q-sum is a
     fixed positive reweighting of the same compound-power column data.
     """
-    table = pullback_class_sequence(f, p, n_max)
-    mixed = [pairings(table, alpha_weight(f.space, p, p - q)) for q in admissible_q(f, p)]
-    return [sum(column) for column in zip(*mixed)]
+    return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "summed")
 
 
 def c_p_sequence(base_block, p: int, n_max: int) -> list[int]:

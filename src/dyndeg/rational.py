@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .cohomology import CohClass, FibrationError, Space, alpha, mass
+from .cohomology import CohClass, FibrationError, Space, sequence_pairings
 from .intmat import IntMatrix, det, freeze, identity, mat_mul
 
 DEFAULT_MAX_TOTAL_DEGREE = 400
@@ -892,10 +892,10 @@ class IterateData:
     composed iterates or, for a product of maps of P^1, from powers of f's
     multidegree matrix (see iterate_multidegrees).
 
-    lambda1[n] = mass((f^n)^* omega) for n = 0..N (index 0 is the identity
-    normalization).  truncated is set when the per-component total-degree
-    cap stopped the iteration early; the fields then hold the computed
-    prefix.
+    lambda1[n] = mass((f^n)^* omega) for n = 0..N, the total sequence of
+    cohomology.sequence_pairings (index 0 is the identity normalization).
+    truncated is set when the per-component total-degree cap stopped the
+    iteration early; the fields then hold the computed prefix.
     """
 
     multidegrees: tuple[IntMatrix, ...]
@@ -907,13 +907,13 @@ class IterateData:
         return len(self.multidegrees)
 
 
-def _pullback_class(space: Space, rows: IntMatrix) -> CohClass:
-    """(f^n)^* omega from the multidegree matrix of f^n: row i pulls h_i
-    back to sum_j rows[i][j] h_j."""
+def _pullback_table(space: Space, multidegrees: Sequence[IntMatrix]) -> list[CohClass]:
+    """(f^n)^* omega for n = 0..N from the multidegree matrices of f^1..f^N:
+    row i of f^n's matrix pulls h_i back to sum_j rows[i][j] h_j."""
     m = space.num_factors
-    return CohClass.make(space, 1, {
+    return [CohClass.make(space, 1, {
         tuple(int(t == j) for t in range(m)): sum(row[j] for row in rows) for j in range(m)
-    })
+    }) for rows in (identity(m), *multidegrees)]
 
 
 def iterate_multidegrees(
@@ -945,7 +945,6 @@ def iterate_multidegrees(
         raise ValueError("n_max must be at least 1")
     space = f.space
     m = space.num_factors
-    lambda1 = [mass(_pullback_class(space, identity(m)))]
     matrix = f.multidegree_matrix
     morphism = all(n == 1 for n in space.factors) and all(
         matrix[i][j] == 0 for i in range(m) for j in range(m) if i != j
@@ -965,7 +964,7 @@ def iterate_multidegrees(
             truncated = True
             break
         multidegrees.append(degs)
-        lambda1.append(mass(_pullback_class(space, degs)))
+    lambda1 = sequence_pairings(_pullback_table(space, multidegrees), space, 1, "total")
     return IterateData(tuple(multidegrees), tuple(lambda1), truncated)
 
 
@@ -1011,15 +1010,15 @@ def fiber_degree_sequence(
 ) -> list[int]:
     """Fiber degrees of f^0..f^N from the reduced multidegree matrices.
 
-    The pullback class of omega is cut by the full base power and paired
-    against the complementary omega power, alpha(., 0), which isolates the
-    fiber-variable degrees of the fiber components.  The list stops early
-    when the degree cap truncates the iteration.
+    Each pullback class of omega is cut by the full base power and paired
+    against the complementary omega power, alpha(., 0): the relative kind of
+    cohomology.sequence_pairings, which isolates the fiber-variable degrees
+    of the fiber components.  The list stops early when the degree cap
+    truncates the iteration.
     """
     space = f.fibered_space
     data = iterate_multidegrees(f, n_max, max_total_degree)
-    rows = (identity(space.num_factors),) + data.multidegrees
-    return [alpha(_pullback_class(space, r), 0) for r in rows]
+    return sequence_pairings(_pullback_table(space, data.multidegrees), space, 1, "relative")
 
 
 _DOMINANCE_POINTS = 3

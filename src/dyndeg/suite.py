@@ -29,15 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import monomial, sampling
-from .cohomology import (
-    CohClass,
-    admissible_window,
-    alpha,
-    alpha_weight,
-    degree_exponents,
-    kaehler_power,
-    pairings,
-)
+from .cohomology import CohClass, admissible_window, alpha, degree_exponents, sequence_pairings
 from .degrees import (
     DEFAULT_ESTIMATE_TOL,
     Verdict,
@@ -147,27 +139,6 @@ def pairing_monotonicity_property(rng: random.Random) -> Verdict:
     return combine_rows("pairing-monotonicity", rows)
 
 
-def _total_and_summed(
-    f: monomial.MonomialMap, p: int, table: list[CohClass]
-) -> tuple[list[int], list[int]]:
-    """The total and summed mixed pairings of each degree-p class of table."""
-    total = pairings(table, kaehler_power(f.space, f.dim - p))
-    mixed = [pairings(table, alpha_weight(f.space, p, p - q)) for q in monomial.admissible_q(f, p)]
-    return total, [sum(column) for column in zip(*mixed)]
-
-
-def _pairing_weight_range(f: monomial.MonomialMap, p: int) -> tuple[int, int, int, int]:
-    """Extreme weights the two pairings give to any single degree-p monomial.
-
-    The summed mixed sequence and the total sequence both read off the same
-    pullback coefficients with positive integer weights; the extremes give
-    an exact sandwich between the two sequences at every n.
-    """
-    indicators = [CohClass.make(f.space, p, {e: 1}) for e in degree_exponents(f.space, p)]
-    lam_weights, summed_weights = _total_and_summed(f, p, indicators)
-    return min(summed_weights), max(summed_weights), min(lam_weights), max(lam_weights)
-
-
 def summed_sequence_convergence_property(rng: random.Random, n_max: int, tol: float) -> Verdict:
     """The summed mixed sequence grows at exactly the total sequence's rate.
 
@@ -191,9 +162,15 @@ def summed_sequence_convergence_property(rng: random.Random, n_max: int, tol: fl
             row["note"] = f"need n_max >= {MIN_CONVERGENCE_N} to read off the limit"
             rows.append(row)
             continue
-        wmin, wmax, lmin, lmax = _pairing_weight_range(f, p)
-        c = monomial.pullback_class_sequence(f, p, n_max)[n_max]
-        [lam], [summed] = _total_and_summed(f, p, [c])
+        # Both sequences read off the same pullback coefficients with
+        # positive integer weights: pairing each degree-p monomial gives the
+        # weight extremes, an exact sandwich between them at every n.
+        table = [CohClass.make(f.space, p, {e: 1}) for e in degree_exponents(f.space, p)]
+        table.append(monomial.pullback_class_sequence(f, p, n_max)[n_max])
+        *lam_weights, lam = sequence_pairings(table, f.space, p, "total")
+        *summed_weights, summed = sequence_pairings(table, f.space, p, "summed")
+        wmin, wmax = min(summed_weights), max(summed_weights)
+        lmin, lmax = min(lam_weights), max(lam_weights)
         sandwich = summed * lmin <= wmax * lam and summed * lmax >= wmin * lam
         gap = abs(math.log(summed) - math.log(lam)) / n_max
         bound = math.log(max(wmax / lmin, lmax / wmin))

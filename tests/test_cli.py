@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,31 @@ class TestSequenceCommand:
                     assert value["estimate"] == printed[kind, p]
                     shared += 1
         assert shared == (3 if job == "skew_job" else 7)
+
+    def test_roots_past_the_float_range_print_in_every_format(self, capsys, tmp_path):
+        # lambda_1(f) = 10**400 + 2: its first root is past the float range.
+        # The json report never prints it; table and csv print it as 1e+400.
+        job = write_job(tmp_path, "big.json",
+                        {"type": "monomial", "matrix": [[1, 0], [10**400, 1]], "n_max": 4})
+        code, out, err = run(capsys, "sequence", "--input", job, "--format", "json")
+        assert (code, err) == (0, "")
+        expected = [(s["kind"], s["p"], n, v)
+                    for s in json.loads(out)["sequences"] for n, v in enumerate(s["values"])]
+        assert expected[6] == ("total", 1, 1, 10**400 + 2)
+        code, out, err = run(capsys, "sequence", "--input", job, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["kind"], int(r["p"]), int(r["n"]), int(r["value"])) for r in rows] == expected
+        assert rows[6]["root_est"] == "1e+400"
+        for (_, _, n, v), row in zip(expected, rows):
+            if n >= 1:
+                root = Decimal(v) ** (Decimal(1) / n)
+                assert abs(Decimal(row["root_est"]) / root - 1) < Decimal("1e-11")
+        code, out, err = run(capsys, "sequence", "--input", job, "--format", "table")
+        assert (code, err) == (0, "")
+        # the table's empty cells (q, and the estimates at small n) split away
+        assert [line.split() for line in out.splitlines()[1:]] == [
+            [cell for cell in r.values() if cell] for r in rows]
 
 
 class TestSuiteCommand:

@@ -21,9 +21,11 @@ from dyndeg.cohomology import (
     kaehler_class,
     kaehler_power,
     mass,
+    mixed_window,
     mul,
     pair,
     pairings,
+    sequence_pairings,
     unit_class,
     zero_class,
 )
@@ -267,6 +269,16 @@ class TestPairings:
         for j in admissible_window(degree, big_l, space.dim - big_l):
             assert pairings(table, alpha_weight(space, degree, j)) == [alpha(c, j) for c in table]
 
+    @given(st.data())
+    def test_matches_top_coefficient_of_the_product(self, data):
+        # signed classes and weights, zero coefficients included: the weight
+        # is skipped where it vanishes, and nothing else may be
+        space = data.draw(st.sampled_from([P1P1, MIXED, Space((1, 1, 1)), Space((2, 1))]))
+        degree = data.draw(st.integers(0, space.dim))
+        table = data.draw(st.lists(class_strategy(space, degree), max_size=4))
+        weight = data.draw(class_strategy(space, space.dim - degree, -2, 2))
+        assert pairings(table, weight) == [mul(c, weight).coeff(space.top) for c in table]
+
     def test_error_paths(self):
         c = CohClass.make(P1P1_FIB, 1, {(1, 0): 1})
         w = kaehler_class(P1P1_FIB)
@@ -281,3 +293,39 @@ class TestPairings:
         with pytest.raises(DegreeRangeError):
             alpha_weight(P1P1_FIB, 2, 0)  # degree 2 needs j >= 1
         assert pairings([], w) == []
+
+
+class TestSequencePairings:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_each_kind_matches_per_class_mass_and_alpha(self, seed):
+        rng = random.Random(seed)
+        space = sampling.random_fibered_space(rng)
+        p = rng.randint(0, space.dim)
+        table = [sampling.random_effective_class(rng, space, p) for _ in range(rng.randint(0, 4))]
+        big_l = space.base_dim
+        window = range(max(0, p - big_l), min(p, space.dim - big_l) + 1)
+        assert mixed_window(space, p) == window
+        assert sequence_pairings(table, space, p, "total") == [mass(c) for c in table]
+        if p <= space.dim - big_l:
+            assert sequence_pairings(table, space, p, "relative") == [alpha(c, 0) for c in table]
+        for q in window:
+            assert sequence_pairings(table, space, p, "mixed", q) == [
+                alpha(c, p - q) for c in table]
+        assert sequence_pairings(table, space, p, "summed") == [
+            sum(alpha(c, p - q) for q in window) for c in table]
+
+    def test_error_paths(self):
+        c = CohClass.make(P1P1, 1, {(1, 0): 1})
+        assert sequence_pairings([c], P1P1, 1, "total") == [mass(c)]
+        for kind in ("relative", "mixed", "summed"):
+            with pytest.raises(FibrationError):
+                sequence_pairings([c], P1P1, 1, kind, 1)
+        with pytest.raises(FibrationError):
+            mixed_window(P1P1, 1)
+        with pytest.raises(DegreeRangeError):
+            sequence_pairings([], P1P1_FIB, 2, "relative")  # the fiber has dimension 1
+        with pytest.raises(DegreeRangeError):
+            sequence_pairings([], P1P1_FIB, 2, "mixed", 0)  # q = 0 is outside 1..1
+        with pytest.raises(ValueError, match="unknown sequence kind"):
+            sequence_pairings([c], P1P1_FIB, 1, "base")

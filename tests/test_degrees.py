@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyndeg.cohomology import FibrationError, Space, alpha, mass
+from dyndeg.cohomology import (
+    FibrationError, Space, alpha, alpha_weight, kaehler_power, mass, pairings,
+)
 from dyndeg.degrees import (
     DEFAULT_EXACT_TOL,
     DegreeProfile,
@@ -18,6 +20,7 @@ from dyndeg.degrees import (
     lower_bound_check,
     monomial_engine_profile,
     monomial_oracle_profile,
+    monomial_sequences,
     product_formula,
     rational_engine_profile,
     window_stride,
@@ -373,6 +376,36 @@ def small_monomial_maps(draw):
 def test_monomial_fold_matches_reference(f, n_max, tol):
     assert (monomial_engine_profile(f, n_max, tol).to_dict()
             == _reference_monomial_profile(f, n_max, tol).to_dict())
+
+
+def _reference_monomial_sequences(f, n_max, grading):
+    """The previous per-kind pairings: each record's call site chose its own
+    weight, and the summed record added the mixed ones column by column."""
+    k, l, space = f.dim, f.fibration_dim, f.space
+    tables = {p: pullback_class_sequence(f, p, n_max) for p in range(k + 1)}
+    out = [("total", p, None, pairings(tables[p], kaehler_power(space, k - p)))
+           for p in grading]
+    if l is None:
+        return out
+    out += [("base", j, None, c_p_sequence(f.base_block(), j, n_max)) for j in range(l + 1)]
+    out += [("relative", p, None, pairings(tables[p], alpha_weight(space, p, 0)))
+            for p in range(k - l + 1)]
+    for p in grading:
+        # (P^1)^k over (P^1)^l: max(0, p - l) <= q <= min(p, k - l)
+        mixed = {q: pairings(tables[p], alpha_weight(space, p, p - q))
+                 for q in range(max(0, p - l), min(p, k - l) + 1)}
+        out += [("mixed", p, q, values) for q, values in mixed.items()]
+        out.append(("summed", p, None, [sum(column) for column in zip(*mixed.values())]))
+    return out
+
+
+@given(small_monomial_maps(), st.integers(0, 8), st.data())
+def test_monomial_sequences_match_per_kind_pairings(f, n_max, data):
+    lo = data.draw(st.integers(0, f.dim))
+    grading = range(lo, data.draw(st.integers(lo, f.dim)) + 1)
+    records = monomial_sequences(f, n_max, grading)
+    assert [(r["kind"], r["p"], r["q"], r["values"]) for r in records] == (
+        _reference_monomial_sequences(f, n_max, grading))
 
 
 def _p1_map():

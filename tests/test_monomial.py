@@ -154,6 +154,12 @@ class TestRelativeAndMixed:
         f = MonomialMap(golden_matrix)
         with pytest.raises(FibrationError):
             lambda_relative_sequence(f, 1, 2)
+        with pytest.raises(FibrationError):
+            a_qp_sequence(f, 1, 1, 2)
+        with pytest.raises(FibrationError):
+            b_p_sequence(f, 1, 2)
+        with pytest.raises(FibrationError):
+            admissible_q(f, 1)
 
     def test_relative_degree_range(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)

@@ -21,6 +21,7 @@ from dyndeg.cohomology import (
     CohClass,
     FibrationError,
     Space,
+    alpha,
     base_pullback_power,
     kaehler_power,
     mass,
@@ -1232,6 +1233,7 @@ class TestSkewProduct:
             pullback = CohClass.make(space, 1, coeffs)
             reference.append(pair(mul(pullback, cut), weight))
         assert fiber_degree_sequence(f, 5, max_total_degree=1000) == reference
+        assert _composed_fiber_degrees(f, 5, 1000) == reference
         assert [fiber_degree_sequence(f, max(n, 1), max_total_degree=1000)[n]
                 for n in range(6)] == reference
 
@@ -1240,12 +1242,21 @@ class TestSkewProduct:
         assert fiber_degree_sequence(skew_map(), 5, max_total_degree=100) == [1, 2, 4, 8, 16]
 
 
+def _pullback(space, rows):
+    """(f^n)^* omega from f^n's multidegree matrix: h_j gets the column sum j."""
+    m = space.num_factors
+    return CohClass.make(space, 1, {
+        tuple(int(t == j) for t in range(m)): sum(row[j] for row in rows) for j in range(m)
+    })
+
+
 def _composed_iterates(f, n_max, max_total_degree):
     """Reference for iterate_multidegrees: compose every iterate, whatever
-    the map, and read its reduced multidegrees."""
+    the map, read its reduced multidegrees, and take the mass of each
+    pullback class on its own."""
     m = f.space.num_factors
     rows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    lambda1 = [mass(rational._pullback_class(f.space, rows))]
+    lambda1 = [mass(_pullback(f.space, rows))]
     multidegrees = []
     current = f
     for n in range(1, n_max + 1):
@@ -1255,8 +1266,18 @@ def _composed_iterates(f, n_max, max_total_degree):
         if any(sum(row) > max_total_degree for row in rows):
             return IterateData(tuple(multidegrees), tuple(lambda1), True)
         multidegrees.append(rows)
-        lambda1.append(mass(rational._pullback_class(f.space, rows)))
+        lambda1.append(mass(_pullback(f.space, rows)))
     return IterateData(tuple(multidegrees), tuple(lambda1), False)
+
+
+def _composed_fiber_degrees(f, n_max, max_total_degree):
+    """Reference for fiber_degree_sequence: alpha(., 0) of each pullback
+    class of the composed iterates, on its own."""
+    space = f.space.with_base(f.fibration_dim)
+    m = space.num_factors
+    identity_rows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    data = _composed_iterates(f, n_max, max_total_degree)
+    return [alpha(_pullback(space, rows), 0) for rows in (identity_rows, *data.multidegrees)]
 
 
 def _draw_p1_product(data):
@@ -1290,6 +1311,7 @@ class TestProductsOfMapsOfP1:
         cap = data.draw(st.integers(0, 40))
         assert iterate_multidegrees(f, n_max, cap) == _composed_iterates(f, n_max, cap)
         if f.fibration_dim is not None:
+            assert fiber_degree_sequence(f, n_max, cap) == _composed_fiber_degrees(f, n_max, cap)
             records, _ = degrees.rational_sequences(f, n_max, cap)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rational, "iterate_multidegrees", _composed_iterates)

@@ -2,7 +2,9 @@
 the code its arguments call for (0 success or INCONCLUSIVE, 1 invalid or
 malformed flag, 3 a FAIL)."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dyndeg
-from dyndeg import rational
+from dyndeg import cli, rational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,3 +94,34 @@ def test_demo_iterates_three_maps_once(monkeypatch, capsys):
     assert demo.main(["--n-max", "7"]) == 0
     assert len(calls) == 3
     assert "product-formula: PASS" in capsys.readouterr().out
+
+
+def test_report_digests_hash_every_format(tmp_path, capsys):
+    """digests runs each job through cli.main in json, table and csv and
+    hashes the exit code, stdout and stderr of each run."""
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "scripts" / "report_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    fibred = {"type": "monomial", "matrix": [[2, 0], [1, 3]], "fibration_dim": 1, "n_max": 4}
+    tiny = [
+        digests.jobs.Job("fibred", "sequence", fibred),
+        # verify-product refuses a map with no fibration, in every format alike
+        digests.jobs.Job("unfibred", "verify-product",
+                         {"type": "monomial", "matrix": [[2, 1], [1, 1]], "n_max": 4}),
+    ]
+    lines = digests.digests(tiny, "tiny/0/")
+    assert [line.split()[:3] for line in lines] == [
+        [f"tiny/0/{name}", fmt, code]
+        for name, code in (("fibred", "0"), ("unfibred", "1")) for fmt in ("json", "table", "csv")
+    ]
+    assert len({line.split()[3] for line in lines}) == 4
+    assert digests.digests(tiny, "tiny/0/") == lines
+
+    path = tmp_path / "fibred.json"
+    path.write_text(json.dumps(fibred))
+    code = cli.main(["sequence", "--input", str(path), "--format", "csv"])
+    out, err = capsys.readouterr()
+    blob = json.dumps([code, out, err]).encode()
+    assert lines[2].split()[3] == hashlib.sha256(blob).hexdigest()
+    assert digests.main(["x"]) == 1
