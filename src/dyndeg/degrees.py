@@ -470,12 +470,16 @@ def monomial_sequences(
     grading in grading and, for a fibred f, every base and relative
     sequence, then the mixed sequences a_{q,p} and their sum b_p for each
     grading in grading.  Every record of grading p pairs the one pullback
-    table of p against its kind's weight (cohomology.sequence_pairings).
+    table of p against its kind's weight (cohomology.sequence_pairings),
+    once per weight: a_{p,p} is the relative sequence of p, whose values
+    it reuses.
     """
     out, tables = _monomial_records(f, n_max, grading)
     if f.fibration_dim is not None:
+        relative = {r["p"]: r["values"] for r in out if r["kind"] == "relative"}
         for p in grading:
-            out += [_paired(tables, f, "mixed", p, q) for q in mixed_window(f.space, p)]
+            out += [_record("mixed", p, relative[p], q) if q == p
+                    else _paired(tables, f, "mixed", p, q) for q in mixed_window(f.space, p)]
             out.append(_paired(tables, f, "summed", p))
     return out
 

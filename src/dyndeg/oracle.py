@@ -2,19 +2,23 @@
 
 Three deliberately separate routes live here:
 
-* eigen_degrees: the spectral route.  The characteristic polynomial of the
-  exponent matrix is computed exactly over the integers (Faddeev-LeVerrier,
-  every division asserted exact); its constant term gives the determinant.
-  It is split into square-free factors exactly over Z by Yun's algorithm,
-  in pure-Python integer arithmetic.  Each square-free factor's roots are
-  first approximated by Aberth iteration in complex doubles, then polished
-  to 60 digits by mpmath's polyroots from that start; if the start is
-  unusable or the polish does not converge, polyroots runs once more from
-  its own cold start.  mpmath is imported by the first root-finding, not
-  with this module, and ``oracle.mp`` names it.  Root moduli are memoized
-  by polynomial.  The degree-p reference value is the product of the p
-  largest root moduli.  Nothing is shared with the compound-matrix engine
-  beyond the input matrix.
+* eigen_degrees: the spectral route.  The exponent matrix is cut into
+  diagonal blocks wherever a corner block is zero (_diagonal_blocks): a
+  fibred map's matrix is lower block-triangular, so its base and fiber
+  blocks are root-found apart, never its whole charpoly.  Each block's
+  characteristic polynomial is computed exactly over the integers
+  (Faddeev-LeVerrier, every division asserted exact); the product of their
+  signed constant terms gives the determinant.  Each is split into
+  square-free factors exactly over Z by Yun's algorithm, in pure-Python
+  integer arithmetic.  Each square-free factor's roots are first
+  approximated by Aberth iteration in complex doubles, then polished to 60
+  digits by mpmath's polyroots from that start; if the start is unusable
+  or the polish does not converge, polyroots runs once more from its own
+  cold start.  mpmath is imported by the first root-finding, not with this
+  module, and ``oracle.mp`` names it.  Root moduli are memoized by block
+  charpoly.  The degree-p reference value is the product of the p largest
+  root moduli over all blocks.  Nothing is shared with the compound-matrix
+  engine beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
   multiplies term lists outright with truncation and no intermediate
@@ -35,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cohomology import CohClass, Space, unit_class
-from .intmat import freeze, identity, mat_mul, mat_pow, trace
+from .intmat import IntMatrix, freeze, identity, mat_mul, mat_pow, trace
 from .monomial import NonDominantError, compound
 
 
@@ -272,8 +276,10 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     algorithm (_square_free_split); each factor then has distinct roots.
     Its roots are polished to 60 digits from a double-precision Aberth
     start (_factor_roots), so each modulus is a 60-digit root rounded to a
-    float.  The result is memoized by polynomial: a matrix, its transpose
-    and a repeated block share one root-finding.
+    float.  The result is memoized by polynomial, and eigen_degrees calls
+    it once per diagonal block, so every matrix with that block (a
+    transpose, a fibred map and its base or fiber block) shares one
+    root-finding.
     """
     import mpmath as mp
 
@@ -285,12 +291,32 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(moduli)
 
 
+def _diagonal_blocks(mat: IntMatrix) -> list[IntMatrix]:
+    """The diagonal blocks of a square matrix, top-left to bottom-right.
+
+    The matrix is cut at the first l where its upper-right l x (k - l)
+    block or its lower-left (k - l) x l block is zero, and both halves are
+    cut again, so the charpoly is the product of the blocks' charpolys.  A
+    matrix and its transpose are cut at the same places.
+    """
+    k = len(mat)
+    for l in range(1, k):
+        if (not any(x for row in mat[:l] for x in row[l:])
+                or not any(x for row in mat[l:] for x in row[:l])):
+            return (_diagonal_blocks(tuple(row[:l] for row in mat[:l]))
+                    + _diagonal_blocks(tuple(row[l:] for row in mat[l:])))
+    return [mat]
+
+
 def eigen_degrees(matrix) -> EigenDegrees:
-    poly = charpoly(matrix)
-    det = (-1) ** (len(poly) - 1) * poly[-1]
+    """Root moduli and degree profile of an integer matrix, one diagonal
+    block at a time (_diagonal_blocks); raises NonDominantError if it is
+    singular."""
+    polys = [charpoly(block) for block in _diagonal_blocks(freeze(matrix))]
+    det = math.prod((-1) ** (len(poly) - 1) * poly[-1] for poly in polys)
     if det == 0:
         raise NonDominantError("matrix is singular (det = 0)")
-    moduli = sorted(_root_moduli(poly), reverse=True)
+    moduli = sorted((m for poly in polys for m in _root_moduli(poly)), reverse=True)
     degrees = [1.0]
     for m in moduli:
         degrees.append(degrees[-1] * m)

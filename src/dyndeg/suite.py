@@ -4,7 +4,11 @@ Six properties, each checked over a reproducible random family:
 
 1. spectral product formula -- the exact spectral degrees of fibered
    monomial maps satisfy d_p = max_j d_j(base) * d_{p-j}(fiber) over the
-   admissible window, for every fibration shape up to the size cap;
+   admissible window, for every fibration shape up to the size cap.  The
+   oracle reads a fibred map's spectrum as the union of its base and fiber
+   blocks' spectra, so this checks product_formula's window and maximum on
+   exact spectra.  Whole-versus-block root-finding agreement is checked
+   by a differential test in tests/test_oracle.py instead;
 2. minor multiplicativity -- taking p-minors commutes with matrix products;
 3. mixed-degree identity -- the relative degree sequence, which is the
    extreme mixed sequence, equals l! times the degree sequence of the

@@ -16,6 +16,7 @@ from dyndeg.cohomology import (
     mul,
     pair,
 )
+from dyndeg.degrees import monomial_oracle_profile
 from dyndeg.intmat import det, freeze, identity
 from dyndeg.monomial import MonomialMap, NonDominantError, pullback_class_sequence
 from dyndeg.oracle import (
@@ -113,6 +114,72 @@ class TestEigenDegrees:
             assert lhs >= rhs * (1 - 1e-9)
 
 
+@st.composite
+def block_structured_matrices(draw):
+    """k <= 6, entries in [-5, 5]: dense, lower block-triangular or its
+    transpose; a triangular one may have up to two more zero corners inside
+    diagonal sub-blocks, and one entry that leaks into a zero corner."""
+    k = draw(st.integers(1, 6))
+    mat = [list(row) for row in draw(matrices(k))]
+    shape = draw(st.sampled_from(("dense", "lower", "upper")))
+    if shape == "dense" or k == 1:
+        return freeze(mat)
+    corners = [(0, k)] + [
+        (a, draw(st.integers(a + 2, k)))
+        for a in draw(st.lists(st.integers(0, k - 2), max_size=2))
+    ]
+    for n, (a, b) in enumerate(corners):
+        c = draw(st.integers(a + 1, b - 1))
+        rows, cols = range(a, c), range(c, b)  # the upper-right corner
+        if n and draw(st.booleans()):
+            rows, cols = cols, rows
+        for i in rows:
+            for j in cols:
+                mat[i][j] = 0
+    if draw(st.booleans()):
+        mat[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(
+            st.integers(1, 5))
+    return freeze(mat) if shape == "lower" else tuple(zip(*mat))
+
+
+class TestDiagonalBlocks:
+    @settings(max_examples=300)
+    @given(block_structured_matrices())
+    def test_split_matches_whole_charpoly(self, mat):
+        blocks = oracle._diagonal_blocks(mat)
+        product = (1,)
+        for block in blocks:
+            product = tuple(_poly_mul(product, charpoly(block)))
+        assert product == charpoly(mat)
+        transposed = oracle._diagonal_blocks(tuple(zip(*mat)))
+        assert [charpoly(b) for b in transposed] == [charpoly(b) for b in blocks]
+        if det(mat) == 0:
+            return
+        whole = sorted(oracle._root_moduli.__wrapped__(charpoly(mat)), reverse=True)
+        assert eigen_degrees(mat).moduli == tuple(whole)
+
+    def test_hand_cases(self):
+        # a zero lower-left corner at 2 whose top block is lower triangular:
+        # the whole matrix has no cut at 1, its top block does
+        mat = ((2, 0, 1), (1, 3, 1), (0, 0, 5))
+        assert oracle._diagonal_blocks(mat) == [((2,),), ((3,),), ((5,),)]
+        golden = ((2, 1), (1, 1))
+        assert oracle._diagonal_blocks(golden) == [golden]
+
+    def test_fibred_profile_root_finds_each_block_once(self, monkeypatch, fresh_moduli):
+        # base t^2 - 3t + 1 and fiber t^3 - t^2 - t - 1 are irreducible and
+        # have no zero corner, so each is one square-free factor
+        f = MonomialMap(((2, 1, 0, 0, 0),
+                         (1, 1, 0, 0, 0),
+                         (1, 0, 0, 0, 1),
+                         (0, 1, 1, 0, 1),
+                         (1, 1, 0, 1, 1)), fibration_dim=2)
+        seen = _counted_polyroots(monkeypatch)
+        profile = monomial_oracle_profile(f)
+        assert sorted(len(start) for start in seen) == [2, 3]
+        assert profile.degrees[5].value == pytest.approx(1.0, rel=1e-12)
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -200,9 +267,11 @@ class TestRootModuli:
         assert got == [7e-6, 8e-6, 3.0, 3.0]
 
     def test_memo_shares_transpose(self, monkeypatch, fresh_moduli):
-        # charpoly (t - 2)(t - 3)^2: square-free factors t - 2 and t - 3
-        mat = ((3, 0, 0), (1, 3, 0), (1, 1, 2))
+        # charpoly (t - 2)(t - 3)^2: square-free factors t - 2 and t - 3; no
+        # corner block is zero, so the whole matrix is one diagonal block
+        mat = ((3, -1, 1), (2, 2, 0), (2, -1, 3))
         transpose = tuple(zip(*mat))
+        assert oracle._diagonal_blocks(mat) == [mat]
         assert charpoly(mat) == charpoly(transpose)
         seen = _counted_polyroots(monkeypatch)
         first = eigen_degrees(mat)
@@ -211,6 +280,18 @@ class TestRootModuli:
         assert isinstance(oracle._root_moduli(charpoly(mat)), tuple)
         oracle._root_moduli.cache_clear()
         assert eigen_degrees(mat) == first
+        assert len(seen) == 4
+
+    def test_memo_shares_diagonal_blocks(self, monkeypatch, fresh_moduli):
+        # the same charpoly from a lower-triangular matrix: its 1 x 1 blocks
+        # are root-found, (t - 3) once for both, and never the whole charpoly
+        mat = ((3, 0, 0), (1, 3, 0), (1, 1, 2))
+        seen = _counted_polyroots(monkeypatch)
+        first = eigen_degrees(mat)
+        assert eigen_degrees(tuple(zip(*mat))) == first
+        assert eigen_degrees(((3,),)).moduli == (3.0,)
+        assert len(seen) == 2
+        oracle._root_moduli(charpoly(mat))
         assert len(seen) == 4
 
     def test_no_convergence_raises(self, monkeypatch, golden_matrix, fresh_moduli):
