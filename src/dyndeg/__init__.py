@@ -50,7 +50,6 @@ from .monomial import (
     MonomialMap,
     NonDominantError,
     a_qp_sequence,
-    admissible_q,
     b_p_sequence,
     c_p_sequence,
     compound,

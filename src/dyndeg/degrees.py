@@ -385,20 +385,14 @@ def lower_bound_check(profile: DegreeProfile, ps: Iterable[int] | None = None) -
 
 def monomial_oracle_profile(f: monomial.MonomialMap) -> DegreeProfile:
     """Exact spectral degree profile of a fibered monomial map."""
-    totals = oracle.eigen_degrees(f.matrix)
-    degrees = tuple(DegreeValue.exact(totals.degree(p)) for p in range(f.dim + 1))
+
+    def exact(m) -> tuple[DegreeValue, ...]:
+        return tuple(map(DegreeValue.exact, oracle.eigen_degrees(m).degrees))
+
     if f.fibration_dim is None:
-        return DegreeProfile(f.dim, None, degrees, label="monomial-oracle")
-    base = oracle.eigen_degrees(f.base_block())
-    fiber = oracle.eigen_degrees(f.fiber_block())
-    return DegreeProfile(
-        f.dim,
-        f.fibration_dim,
-        degrees,
-        tuple(DegreeValue.exact(base.degree(j)) for j in range(base.dim + 1)),
-        tuple(DegreeValue.exact(fiber.degree(j)) for j in range(fiber.dim + 1)),
-        label="monomial-oracle",
-    )
+        return DegreeProfile(f.dim, None, exact(f.matrix), label="monomial-oracle")
+    return DegreeProfile(f.dim, f.fibration_dim, exact(f.matrix), exact(f.base_block()),
+                         exact(f.fiber_block()), label="monomial-oracle")
 
 
 def profile_from_sequences(

@@ -47,7 +47,6 @@ from .cohomology import (
     FibrationError,
     Space,
     kaehler_power,
-    mixed_window,
     sequence_pairings,
 )
 from .intmat import IntMatrix, det, freeze, submatrix
@@ -227,11 +226,6 @@ def lambda_relative_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
     """Relative degree sequence alpha((f^n)^* omega^p, 0): the pullback class
     cut down by the full base power.  Defined for 0 <= p <= k - l."""
     return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "relative")
-
-
-def admissible_q(f: MonomialMap, p: int) -> range:
-    """The q of the mixed sequences a_{q,p}: cohomology.mixed_window."""
-    return mixed_window(f.space, p)
 
 
 def a_qp_sequence(f: MonomialMap, q: int, p: int, n_max: int) -> list[int]:

@@ -5,20 +5,19 @@ Three deliberately separate routes live here:
 * eigen_degrees: the spectral route.  The exponent matrix is cut into
   diagonal blocks wherever a corner block is zero (_diagonal_blocks): a
   fibred map's matrix is lower block-triangular, so its base and fiber
-  blocks are root-found apart, never its whole charpoly.  Each block's
-  characteristic polynomial is computed exactly over the integers
-  (Faddeev-LeVerrier, every division asserted exact); the product of their
-  signed constant terms gives the determinant.  Each is split into
+  blocks are root-found apart, never its whole charpoly.  One memo keyed
+  by block (_block_moduli) holds each block's checked root moduli.  A
+  block's characteristic polynomial is computed exactly over the integers
+  (Faddeev-LeVerrier, every division asserted exact) and split into
   square-free factors exactly over Z by Yun's algorithm, in pure-Python
   integer arithmetic.  Each square-free factor's roots are first
   approximated by Aberth iteration in complex doubles, then polished to 60
   digits by mpmath's polyroots from that start; if the start is unusable
   or the polish does not converge, polyroots runs once more from its own
   cold start.  mpmath is imported by the first root-finding, not with this
-  module, and ``oracle.mp`` names it.  Root moduli are memoized by block
-  charpoly.  The degree-p reference value is the product of the p largest
-  root moduli over all blocks.  Nothing is shared with the compound-matrix
-  engine beyond the input matrix.
+  module, and ``oracle.mp`` names it.  The degree-p reference value is
+  the product of the p largest root moduli over all blocks.  Nothing is
+  shared with the compound-matrix engine beyond the input matrix.
 
 * ring_expand_oracle: a brute-force expander for products of classes.  It
   multiplies term lists outright with truncation and no intermediate
@@ -110,13 +109,6 @@ class EigenDegrees:
 
     moduli: tuple[float, ...]
     degrees: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.moduli)
-
-    def degree(self, p: int) -> float:
-        return self.degrees[p]
 
 
 def _aberth_start(coeffs: Sequence[int]) -> list[complex] | None:
@@ -267,7 +259,6 @@ def _square_free_split(poly: Sequence[int]) -> list[tuple[list[int], int]]:
         multiplicity += 1
 
 
-@lru_cache(maxsize=None)
 def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     """All complex root moduli of an integer polynomial, with multiplicity.
 
@@ -276,10 +267,7 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     algorithm (_square_free_split); each factor then has distinct roots.
     Its roots are polished to 60 digits from a double-precision Aberth
     start (_factor_roots), so each modulus is a 60-digit root rounded to a
-    float.  The result is memoized by polynomial, and eigen_degrees calls
-    it once per diagonal block, so every matrix with that block (a
-    transpose, a fibred map and its base or fiber block) shares one
-    root-finding.
+    float.  Not memoized; its one caller, _block_moduli, is.
     """
     import mpmath as mp
 
@@ -289,6 +277,31 @@ def _root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
             for r in _factor_roots(factor):
                 moduli.extend([float(abs(r))] * multiplicity)
     return tuple(moduli)
+
+
+@lru_cache(maxsize=None)
+def _block_moduli(block: IntMatrix) -> tuple[float, ...]:
+    """One diagonal block's root moduli, memoized by block.
+
+    Raises NonDominantError if the block's determinant, read from its
+    charpoly, is 0, and RootFindingError if the moduli miss its |det| by
+    more than relative _ROOT_TOL.  Checked per block, a wrong modulus in
+    any block trips the guard, even where another block's error offsets
+    it in the whole matrix's product.  A fibred map's total, base and
+    fiber profiles share blocks, so each charpoly and root-finding is made
+    once.
+    """
+    poly = charpoly(block)
+    det = (-1) ** (len(poly) - 1) * poly[-1]
+    if det == 0:
+        raise NonDominantError("matrix is singular (det = 0)")
+    moduli = _root_moduli(poly)
+    residual = abs(math.prod(moduli) - abs(det)) / abs(det)
+    if residual > _ROOT_TOL:
+        raise RootFindingError(
+            f"root moduli product misses |det| by relative {residual:.3e}"
+        )
+    return moduli
 
 
 def _diagonal_blocks(mat: IntMatrix) -> list[IntMatrix]:
@@ -309,24 +322,14 @@ def _diagonal_blocks(mat: IntMatrix) -> list[IntMatrix]:
 
 
 def eigen_degrees(matrix) -> EigenDegrees:
-    """Root moduli and degree profile of an integer matrix, one diagonal
-    block at a time (_diagonal_blocks); raises NonDominantError if it is
-    singular."""
-    polys = [charpoly(block) for block in _diagonal_blocks(freeze(matrix))]
-    det = math.prod((-1) ** (len(poly) - 1) * poly[-1] for poly in polys)
-    if det == 0:
-        raise NonDominantError("matrix is singular (det = 0)")
-    moduli = sorted((m for poly in polys for m in _root_moduli(poly)), reverse=True)
+    """Root moduli and degree profile of an integer matrix, from its diagonal
+    blocks' moduli (_block_moduli); raises NonDominantError if singular."""
+    blocks = _diagonal_blocks(freeze(matrix))
+    moduli = sorted((m for block in blocks for m in _block_moduli(block)), reverse=True)
     degrees = [1.0]
     for m in moduli:
         degrees.append(degrees[-1] * m)
-    result = EigenDegrees(tuple(moduli), tuple(degrees))
-    residual = abs(result.degrees[-1] - abs(det)) / abs(det)
-    if residual > _ROOT_TOL:
-        raise RootFindingError(
-            f"root moduli product misses |det| by relative {residual:.3e}"
-        )
-    return result
+    return EigenDegrees(tuple(moduli), tuple(degrees))
 
 
 _TERM_CAP = 2_000_000

@@ -12,6 +12,7 @@ from dyndeg.cohomology import (
     Space,
     base_pullback_power,
     kaehler_power,
+    mixed_window,
     mul,
     pair,
 )
@@ -21,7 +22,6 @@ from dyndeg.monomial import (
     MonomialMap,
     NonDominantError,
     a_qp_sequence,
-    admissible_q,
     b_p_sequence,
     c_p_sequence,
     compound,
@@ -159,7 +159,7 @@ class TestRelativeAndMixed:
         with pytest.raises(FibrationError):
             b_p_sequence(f, 1, 2)
         with pytest.raises(FibrationError):
-            admissible_q(f, 1)
+            mixed_window(f.space, 1)
 
     def test_relative_degree_range(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)
@@ -173,8 +173,8 @@ class TestRelativeAndMixed:
 
     def test_mixed_window(self, fib_matrix):
         f = MonomialMap(fib_matrix, 1)
-        assert list(admissible_q(f, 1)) == [0, 1]
-        assert list(admissible_q(f, 2)) == [1]
+        assert list(mixed_window(f.space, 1)) == [0, 1]
+        assert list(mixed_window(f.space, 2)) == [1]
         with pytest.raises(DegreeRangeError):
             a_qp_sequence(f, 0, 2, 2)
 
@@ -224,10 +224,10 @@ def test_sequences_match_cut_then_pair_definition(f):
         classes = pullback_class_sequence(f, p, n_max)
         if p <= k - l:
             assert lambda_relative_sequence(f, p, n_max) == [mixed(c, p, p) for c in classes]
-        for q in admissible_q(f, p):
+        for q in mixed_window(f.space, p):
             assert a_qp_sequence(f, q, p, n_max) == [mixed(c, q, p) for c in classes]
         assert b_p_sequence(f, p, n_max) == [
-            sum(mixed(c, q, p) for q in admissible_q(f, p)) for c in classes
+            sum(mixed(c, q, p) for q in mixed_window(f.space, p)) for c in classes
         ]
 
 

@@ -142,6 +142,15 @@ def block_structured_matrices(draw):
     return freeze(mat) if shape == "lower" else tuple(zip(*mat))
 
 
+# base t^2 - 3t + 1 and fiber t^3 - t^2 - t - 1 are irreducible and have no
+# zero corner, so each is one diagonal block and one square-free factor
+_FIBRED = MonomialMap(((2, 1, 0, 0, 0),
+                       (1, 1, 0, 0, 0),
+                       (1, 0, 0, 0, 1),
+                       (0, 1, 1, 0, 1),
+                       (1, 1, 0, 1, 1)), fibration_dim=2)
+
+
 class TestDiagonalBlocks:
     @settings(max_examples=300)
     @given(block_structured_matrices())
@@ -155,7 +164,7 @@ class TestDiagonalBlocks:
         assert [charpoly(b) for b in transposed] == [charpoly(b) for b in blocks]
         if det(mat) == 0:
             return
-        whole = sorted(oracle._root_moduli.__wrapped__(charpoly(mat)), reverse=True)
+        whole = sorted(oracle._root_moduli(charpoly(mat)), reverse=True)
         assert eigen_degrees(mat).moduli == tuple(whole)
 
     def test_hand_cases(self):
@@ -167,17 +176,24 @@ class TestDiagonalBlocks:
         assert oracle._diagonal_blocks(golden) == [golden]
 
     def test_fibred_profile_root_finds_each_block_once(self, monkeypatch, fresh_moduli):
-        # base t^2 - 3t + 1 and fiber t^3 - t^2 - t - 1 are irreducible and
-        # have no zero corner, so each is one square-free factor
-        f = MonomialMap(((2, 1, 0, 0, 0),
-                         (1, 1, 0, 0, 0),
-                         (1, 0, 0, 0, 1),
-                         (0, 1, 1, 0, 1),
-                         (1, 1, 0, 1, 1)), fibration_dim=2)
         seen = _counted_polyroots(monkeypatch)
-        profile = monomial_oracle_profile(f)
+        profile = monomial_oracle_profile(_FIBRED)
         assert sorted(len(start) for start in seen) == [2, 3]
         assert profile.degrees[5].value == pytest.approx(1.0, rel=1e-12)
+
+    def test_fibred_profile_takes_each_block_charpoly_once(self, monkeypatch,
+                                                           fresh_moduli):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return charpoly(matrix)
+
+        monkeypatch.setattr(oracle, "charpoly", counted)
+        first = monomial_oracle_profile(_FIBRED)
+        assert calls == [_FIBRED.base_block(), _FIBRED.fiber_block()]
+        assert monomial_oracle_profile(_FIBRED) == first
+        assert len(calls) == 2
 
 
 def _poly_mul(a, b):
@@ -232,9 +248,9 @@ def integer_polys(draw):
 
 @pytest.fixture
 def fresh_moduli():
-    oracle._root_moduli.cache_clear()
+    oracle._block_moduli.cache_clear()
     yield
-    oracle._root_moduli.cache_clear()
+    oracle._block_moduli.cache_clear()
 
 
 def _counted_polyroots(monkeypatch, fail_warm=False, fail_cold=False):
@@ -257,18 +273,20 @@ class TestRootModuli:
     @settings(max_examples=200)
     @given(integer_polys())
     def test_matches_cold_start_exactly(self, poly):
-        assert sorted(oracle._root_moduli.__wrapped__(poly)) == _cold_moduli(poly)
+        assert sorted(oracle._root_moduli(poly)) == _cold_moduli(poly)
 
     def test_clustered_and_repeated_hand_case(self):
         poly = tuple(_poly_mul(_poly_mul([1, -3], [1, -3]),
                                _poly_mul([10**6, -7], [10**6, -8])))
-        got = sorted(oracle._root_moduli.__wrapped__(poly))
+        got = sorted(oracle._root_moduli(poly))
         assert got == _cold_moduli(poly)
         assert got == [7e-6, 8e-6, 3.0, 3.0]
 
     def test_memo_shares_transpose(self, monkeypatch, fresh_moduli):
         # charpoly (t - 2)(t - 3)^2: square-free factors t - 2 and t - 3; no
-        # corner block is zero, so the whole matrix is one diagonal block
+        # corner block is zero, so the whole matrix is one diagonal block.
+        # The memo is keyed by block, so the transpose is root-found again
+        # and gives the same result.
         mat = ((3, -1, 1), (2, 2, 0), (2, -1, 3))
         transpose = tuple(zip(*mat))
         assert oracle._diagonal_blocks(mat) == [mat]
@@ -276,15 +294,18 @@ class TestRootModuli:
         seen = _counted_polyroots(monkeypatch)
         first = eigen_degrees(mat)
         assert eigen_degrees(transpose) == first
-        assert len(seen) == 2
-        assert isinstance(oracle._root_moduli(charpoly(mat)), tuple)
-        oracle._root_moduli.cache_clear()
+        assert len(seen) == 4
+        assert isinstance(oracle._block_moduli(mat), tuple)
         assert eigen_degrees(mat) == first
         assert len(seen) == 4
+        oracle._block_moduli.cache_clear()
+        assert eigen_degrees(mat) == first
+        assert len(seen) == 6
 
     def test_memo_shares_diagonal_blocks(self, monkeypatch, fresh_moduli):
         # the same charpoly from a lower-triangular matrix: its 1 x 1 blocks
-        # are root-found, (t - 3) once for both, and never the whole charpoly
+        # are root-found, ((3,),) once for both, its transpose has the same
+        # blocks, and never the whole charpoly (root-found only when asked)
         mat = ((3, 0, 0), (1, 3, 0), (1, 1, 2))
         seen = _counted_polyroots(monkeypatch)
         first = eigen_degrees(mat)
@@ -330,12 +351,30 @@ class TestRootModuli:
         if cmath.isnan(start):
             assert seen == [None]  # a non-finite start is never passed on
 
-    def test_perturbed_moduli_trip_residual_guard(self, monkeypatch, golden_matrix):
+    def test_perturbed_moduli_trip_residual_guard(self, monkeypatch, golden_matrix,
+                                                  fresh_moduli):
         real = oracle._root_moduli
         monkeypatch.setattr(oracle, "_root_moduli",
                             lambda poly: tuple(m * (1 + 1e-6) for m in real(poly)))
         with pytest.raises(RootFindingError, match="misses"):
             eigen_degrees(golden_matrix)
+
+    def test_guard_checks_each_block(self, monkeypatch, fresh_moduli):
+        # one block off by 1e-6 trips the guard, and so does a base block
+        # scaled up with a fiber block scaled down to leave the whole
+        # product unchanged
+        f = _FIBRED
+        base, fiber = charpoly(f.base_block()), charpoly(f.fiber_block())
+        real = oracle._root_moduli
+        up = 1 + 1e-6
+        for scales in ({base: up}, {fiber: up}, {base: up, fiber: up ** (-2 / 3)}):
+            oracle._block_moduli.cache_clear()
+            monkeypatch.setattr(oracle, "_root_moduli", lambda poly: tuple(
+                m * scales.get(poly, 1.0) for m in real(poly)))
+            with pytest.raises(RootFindingError, match="misses"):
+                eigen_degrees(f.matrix)
+        total = math.prod(m for poly in (base, fiber) for m in oracle._root_moduli(poly))
+        assert total == pytest.approx(abs(det(f.matrix)), rel=1e-12)
 
 
 @st.composite
