@@ -53,6 +53,7 @@ from .monomial import (
     b_p_sequence,
     c_p_sequence,
     compound,
+    compounds,
     lambda_relative_sequence,
     lambda_sequence,
     pullback_class_sequence,

@@ -448,7 +448,8 @@ def _monomial_records(
     tables = {p: monomial.pullback_class_sequence(f, p, n_max) for p in sorted(needed)}
     out = [_paired(tables, f, "total", p) for p in grading]
     if l is not None:
-        out += [_record("base", j, monomial.c_p_sequence(f.base_block(), j, n_max))
+        base = f.base_map()
+        out += [_record("base", j, monomial.lambda_sequence(base, j, n_max))
                 for j in range(l + 1)]
         out += [_paired(tables, f, "relative", p) for p in range(k - l + 1)]
     return out, tables

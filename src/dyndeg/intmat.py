@@ -62,8 +62,8 @@ def det(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     The intermediate divisions are exact over the integers, so the result
-    is exact for arbitrarily large entries.  An empty matrix has det 1
-    (the 0x0 minor convention used by compound matrices).
+    is exact for arbitrarily large entries.  An empty matrix has det 1,
+    the empty-product convention.
     """
     n = len(matrix)
     if n == 0:

@@ -22,6 +22,11 @@ sequence takes omega^{k-p}, the relative and mixed sequences take
 alpha_weight(., p, j) (relative is j = 0, a_{q,p} is j = p - q), and the
 summed sequence b_p the sum of the mixed weights over the window.
 
+The compounds C_0(A), .., C_k(A) come from one sweep per map
+(MonomialMap.compounds): each q-minor is the Laplace expansion along its
+last row over the (q-1)-minors of the order before, with integer products
+and sums only, so the entries are exact whatever their size.
+
 The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
 signed int with entry T in a fixed-width slot T, wide enough for a sign
 bit above sum_S w_S * ||C_p(A)||_inf^n, the bound on any weighted column
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cohomology import (
     CohClass,
@@ -102,6 +107,11 @@ class MonomialMap:
     def space(self) -> Space:
         return Space((1,) * self.dim, self.fibration_dim)
 
+    @cached_property
+    def compounds(self) -> tuple[CompoundOperator, ...]:
+        """The compound matrices of every order, swept once per map."""
+        return compounds(self.matrix)
+
     def base_block(self) -> IntMatrix:
         l = self._require_fibration()
         return submatrix(self.matrix, range(l), range(l))
@@ -109,6 +119,9 @@ class MonomialMap:
     def fiber_block(self) -> IntMatrix:
         l = self._require_fibration()
         return submatrix(self.matrix, range(l, self.dim), range(l, self.dim))
+
+    def base_map(self) -> "MonomialMap":
+        return MonomialMap(self.base_block())
 
     def fiber_map(self) -> "MonomialMap":
         return MonomialMap(self.fiber_block())
@@ -129,25 +142,67 @@ class CompoundOperator:
 
     Rows and columns are indexed by the lexicographically ordered p-element
     subsets of {0..k-1}; entry (S, T) is the minor det A[S, T].  p = 0 gives
-    the 1x1 identity, p = 1 the matrix itself, p = k the determinant.
+    the 1x1 identity (the empty minor is 1), p = 1 the matrix itself, p = k
+    the determinant.  compounds builds every order in one Laplace sweep.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     matrix: IntMatrix
 
 
-def compound(matrix, p: int) -> CompoundOperator:
+@cache
+def _laplace_table(k: int, q: int):
+    """The q-subsets of range(k); for each row S, the index of S[:-1] among
+    the (q-1)-subsets and S[-1]; for each column T, its terms (T[pos],
+    index of T without T[pos]) split by the sign (-1)^(q-1-pos)."""
+    index = {s: i for i, s in enumerate(itertools.combinations(range(k), q - 1))}
+    subsets = tuple(itertools.combinations(range(k), q))
+    rows = tuple((index[s[:-1]], s[-1]) for s in subsets)
+    cols = []
+    for t in subsets:
+        plus, minus = [], []
+        for pos, c in enumerate(t):
+            (minus if (q - 1 - pos) % 2 else plus).append((c, index[t[:pos] + t[pos + 1:]]))
+        cols.append((plus, minus))
+    return subsets, rows, cols
+
+
+def compounds(matrix) -> tuple[CompoundOperator, ...]:
+    """C_0(A), ..., C_k(A) of a square matrix A, in one sweep.
+
+    Each q-minor is the Laplace expansion along its last row s = S[-1] over
+    the (q-1)-minors of the order before,
+
+        det A[S, T] = sum_pos (-1)^(q-1-pos) A[s][T[pos]] det A[S[:-1], T - T[pos]],
+
+    in integer products and sums only, with no division, so it is exact for
+    entries of any size.
+    """
     mat = freeze(matrix)
     k = len(mat)
     if len(mat[0]) != k:
         raise ValueError("compound matrices are defined for square matrices")
-    if not 0 <= p <= k:
-        raise DegreeRangeError(f"compound order {p} out of range 0..{k}")
-    subsets = tuple(itertools.combinations(range(k), p))
-    entries = tuple(
-        tuple(det(submatrix(mat, rows, cols)) for cols in subsets) for rows in subsets
-    )
-    return CompoundOperator(subsets, entries)
+    ops = [CompoundOperator(((),), ((1,),))]
+    for q in range(1, k + 1):
+        subsets, rows, cols = _laplace_table(k, q)
+        lower = ops[-1].matrix
+        entries = tuple(
+            tuple(
+                sum(a[t] * minors[j] for t, j in plus) - sum(a[t] * minors[j] for t, j in minus)
+                for plus, minus in cols
+            )
+            for minors, a in ((lower[i], mat[s]) for i, s in rows)
+        )
+        ops.append(CompoundOperator(subsets, entries))
+    return tuple(ops)
+
+
+def compound(matrix, p: int) -> CompoundOperator:
+    """C_p(A), 0 <= p <= k: compounds(matrix)[p]."""
+    ops = compounds(matrix)
+    if not 0 <= p < len(ops):
+        raise DegreeRangeError(f"compound order {p} out of range 0..{len(ops) - 1}")
+    return ops[p]
 
 
 def _subset_exponent(space: Space, subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,7 +253,7 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     space = f.space
-    op = compound(f.matrix, p)
+    op = f.compounds[p]
     omega_p = kaehler_power(space, p).coeffs
     exponents = [_subset_exponent(space, s) for s in op.subsets]
     weights = [omega_p[e] for e in exponents]

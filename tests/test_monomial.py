@@ -1,10 +1,12 @@
+import itertools
+import json
 import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyndeg import intmat, monomial
+from dyndeg import cli, intmat, monomial, suite
 from dyndeg.cohomology import (
     CohClass,
     DegreeRangeError,
@@ -17,14 +19,16 @@ from dyndeg.cohomology import (
     pair,
 )
 from dyndeg.degrees import monomial_engine_profile
-from dyndeg.intmat import det, freeze, identity, mat_mul, mat_pow
+from dyndeg.intmat import det, freeze, identity, mat_mul, mat_pow, submatrix
 from dyndeg.monomial import (
+    CompoundOperator,
     MonomialMap,
     NonDominantError,
     a_qp_sequence,
     b_p_sequence,
     c_p_sequence,
     compound,
+    compounds,
     lambda_relative_sequence,
     lambda_sequence,
     pullback_class_sequence,
@@ -72,6 +76,8 @@ class TestMonomialMap:
         f = MonomialMap(fib_matrix, 1)
         assert f.base_block() == ((2,),)
         assert f.fiber_block() == ((3,),)
+        assert f.base_map() == MonomialMap(((2,),))
+        assert f.fiber_map() == MonomialMap(((3,),))
         assert f.space == Space((1, 1), 1)
 
     def test_topological_degree(self, golden_matrix):
@@ -104,6 +110,87 @@ class TestCompound:
             lhs = compound(mat_mul(a, b), p).matrix
             rhs = mat_mul(compound(a, p).matrix, compound(b, p).matrix)
             assert lhs == rhs
+
+
+def _minors_one_by_one(m, p):
+    """C_p(m) the direct way: one determinant per pair of p-subsets."""
+    subsets = tuple(itertools.combinations(range(len(m)), p))
+    return CompoundOperator(
+        subsets, tuple(tuple(det(submatrix(m, s, t)) for t in subsets) for s in subsets))
+
+
+@st.composite
+def square_matrices(draw):
+    """k <= 6 with entries up to 5 or up to 10**30; rows copied (negated) or
+    zeroed, and a transpose, make singular and rank-deficient draws common."""
+    k = draw(st.integers(1, 6))
+    rows = [list(r) for r in draw(matrices(k, draw(st.sampled_from((5, 10**30)))))]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        j = draw(st.integers(0, k - 1))
+        rows[i] = [0] * k if i == j else [-x for x in rows[j]]
+    if draw(st.booleans()):
+        rows = list(zip(*rows))
+    return freeze(rows)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The matrices monomial.compounds sweeps, in call order."""
+    swept = []
+
+    def counted(matrix, sweep=monomial.compounds):
+        swept.append(freeze(matrix))
+        return sweep(matrix)
+
+    monkeypatch.setattr(monomial, "compounds", counted)
+    return swept
+
+
+class TestCompoundSweep:
+    @settings(max_examples=150)
+    @given(square_matrices())
+    def test_sweep_matches_the_minors_one_by_one(self, m):
+        ops = compounds(m)
+        assert len(ops) == len(m) + 1
+        assert ops[0] == CompoundOperator(((),), ((1,),))
+        assert ops[-1].matrix == ((det(m),),)
+        for p, op in enumerate(ops):
+            assert op == _minors_one_by_one(m, p)
+            assert compound(m, p) == op
+
+    def test_error_paths(self):
+        for bad in (((1, 2),), ((1, 2), (3,))):
+            with pytest.raises(ValueError):
+                compounds(bad)
+            with pytest.raises(ValueError):
+                compound(bad, 5)
+        with pytest.raises(ValueError):
+            compounds(())
+        for p in (-1, 3):
+            with pytest.raises(DegreeRangeError):
+                compound(((1, 2), (3, 4)), p)
+
+
+_FIBRED_5_2 = [[2, 1, 0, 0, 0], [1, 1, 0, 0, 0], [1, 0, 2, 1, 0], [0, 1, 1, 2, 1],
+               [1, 1, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("command", ["degrees", "sequence", "verify-product"])
+def test_fibred_job_sweeps_the_map_and_its_base_block_once(sweeps, tmp_path, capsys, command):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"type": "monomial", "matrix": _FIBRED_5_2,
+                                "fibration_dim": 2, "n_max": 12}))
+    assert cli.main([command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert sweeps == [freeze(_FIBRED_5_2), ((2, 1), (1, 1))]
+
+
+def test_suite_sweeps_each_drawn_matrix_once(sweeps):
+    # a, b and a*b per multiplicativity pair, f and its fiber map per
+    # mixed-extreme draw, f per summed-sequence draw.  Distinct draws may
+    # share a matrix (1x1 fiber blocks do), and each sweeps it anew.
+    assert suite.run_suite(seed=0, n_max=40).passed
+    assert len(sweeps) == 3 * 100 + 2 * 30 + 12
 
 
 class TestPullbacks:
