@@ -28,12 +28,15 @@ last row over the (q-1)-minors of the order before, with integer products
 and sums only, so the entries are exact whatever their size.
 
 The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
-signed int with entry T in a fixed-width slot T, wide enough for a sign
-bit above sum_S w_S * ||C_p(A)||_inf^n, the bound on any weighted column
-sum; an iterate adds small multiples of rows over the nonzero compound
-entries.  Rows are read with whole-int operations: the absolute value of
-every slot at once (bias, mask and complement), weighted and added into
-one accumulator that is split into slots once per iterate.
+signed int with entry T in slot T; an iterate adds small multiples of rows
+over the nonzero compound entries.  The slots grow with what they hold.
+The weighted column sums s_T(n) = sum_S w_S |(C^n)_{S,T}| bound every
+entry and grow by at most kappa = max_J ceil(sum_S w_S |C_{S,J}| / w_J)
+per iterate, so when kappa * max_T s_T(n) would not fit under a sign bit,
+every row is re-slotted to hold kappa^min(8, n_max - n) * max_T s_T(n).
+Rows are read with whole-int operations: the absolute value of every slot
+at once (bias, mask and complement), weighted and added into one
+accumulator that is split into slots once per iterate.
 
 When a fibration by the first l coordinates is marked, A must be block
 lower-triangular for the split {0..l-1} | {l..k-1}; the base block then
@@ -209,22 +212,47 @@ def _subset_exponent(space: Space, subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if i in subset else 0 for i in range(space.num_factors))
 
 
-def _abs_column_sums(rows: list[int], weights: list[int], width: int) -> list[int]:
-    """sum_S w_S |x_{S,T}| for each slot T, where packed row R_S holds entry
-    x_{S,T} in slot T of W = width bytes, with w_S the weight of R_S.
+def _slot_width(bound: int) -> int:
+    """Bytes W of the narrowest slot that holds bound under a sign bit,
+    bound < 2^(8W-1)."""
+    return bound.bit_length() // 8 + 1
 
-    Whole-int operations read every slot of a row at once.  With
-    half = 2^(8W-1) and bias holding half in every slot, u = R + bias holds
-    x + half in the slot of each entry x (-half <= x < half), so its top bit
-    is set exactly where x >= 0; neg has a 1 at the bottom of each slot with
-    x < 0; and |R| = (u ^ (bias - neg)) + neg clears the top bit of the
-    nonnegative slots and complements the negative ones
+
+def _fill(value: int, m: int, width: int) -> int:
+    """m slots of width bytes, each holding value (0 <= value < 2^(8 width))."""
+    return int.from_bytes(value.to_bytes(width, "little") * m, "little")
+
+
+def _growth_bound(matrix: IntMatrix, weights: list[int]) -> int:
+    """kappa = max_J ceil(sum_S w_S |C_{S,J}| / w_J), so that the weighted
+    column sums s_T(x) = sum_S w_S |x_S| of any column x obey
+    s(C x) <= kappa s(x).
+
+    Proof: s(C x) = sum_S w_S |sum_J C_{S,J} x_J|
+    <= sum_J (sum_S w_S |C_{S,J}|) |x_J| <= sum_J kappa w_J |x_J| = kappa s(x).
+    """
+    return max(
+        -(-sum(w * abs(row[j]) for w, row in zip(weights, matrix)) // weights[j])
+        for j in range(len(weights))
+    )
+
+
+def _abs_column_sums(rows: list[int], weights: list[int], width: int, bias: int) -> list[int]:
+    """s_T = sum_S w_S |x_{S,T}| for each slot T, where packed row R_S holds
+    entry x_{S,T} in slot T of W = width bytes, with w_S the weight of R_S,
+    and bias = _fill(half, m, W) with half = 2^(8W-1).  These are the sums
+    pullback_class_sequence sizes its slots by.
+
+    Whole-int operations read every slot of a row at once.  u = R + bias
+    holds x + half in the slot of each entry x (-half <= x < half), so its
+    top bit is set exactly where x >= 0; neg has a 1 at the bottom of each
+    slot with x < 0; and |R| = (u ^ (bias - neg)) + neg clears the top bit
+    of the nonnegative slots and complements the negative ones
     (half - 1 - (x + half) + 1 = -x).  The weighted |R_S| go into one
     accumulator, split into slots once; the slots must hold every sum below
     2^(8W) so that none carries into the next.
     """
     m, bits = len(rows), 8 * width
-    bias = int.from_bytes((1 << (bits - 1)).to_bytes(width, "little") * m, "little")
     acc = 0
     for weight, row in zip(weights, rows):
         u = row + bias
@@ -234,19 +262,47 @@ def _abs_column_sums(rows: list[int], weights: list[int], width: int) -> list[in
     return [int.from_bytes(image[at : at + width], "little") for at in range(0, m * width, width)]
 
 
+def _reslot(rows: list[int], width: int, bias: int, wider: int) -> list[int]:
+    """The packed rows with every signed slot widened from width to wider
+    bytes, where bias = _fill(half, m, width) with half = 2^(8 width - 1).
+
+    R + bias holds x + half >= 0 in each slot, so its bytes split per slot
+    with no borrow between them.  Each slot is padded with zero bytes, and
+    half in every wider slot is taken off again, which leaves x there,
+    negative entries included.
+    """
+    m = len(rows)
+    size, pad = m * width, bytes(wider - width)
+    low = _fill(1 << (8 * width - 1), m, wider)
+    out = []
+    for row in rows:
+        image = (row + bias).to_bytes(size, "little")
+        slots = pad.join(image[at : at + width] for at in range(0, size, width)) + pad
+        out.append(int.from_bytes(slots, "little") - low)
+    return out
+
+
+_LOOKAHEAD = 8  # iterates of growth a re-slot makes room for
+
+
 def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass]:
     """Classes of (f^n)^* omega^p for n = 0..n_max, via compound powers.
 
     Row S of C^n (C = C_p(A)) is kept packed as one signed int holding entry
-    T in slot T.  A slot has W bytes, enough for one sign bit above
-    sum_S w_S * ||C||_inf^n, which bounds every weighted column sum
-    sum_S w_S |(C^n)_{S,T}|: each entry is at most ||C^n||_inf <= ||C||_inf^n,
-    the largest absolute row sum being submultiplicative.  So for n <= n_max
-    neither an entry nor a column sum overflows its slot.  One iterate is
-    R_S <- sum of C[S][J] * R_J over the nonzero entries of C, and
-    _abs_column_sums reads the coefficients of its class off the rows.  The
-    subset exponents are validated once, as a class, and every iterate's
-    class is built from them.
+    T in slot T.  One iterate is R_S <- sum of C[S][J] * R_J over the nonzero
+    entries of C, and _abs_column_sums reads the coefficients of its class,
+    the weighted column sums s_T(n) = sum_S w_S |(C^n)_{S,T}|, off the rows.
+    Every entry is at most its column's s_T(n), since w >= 1, and
+    s_T(n+1) <= kappa s_T(n) with kappa = _growth_bound(C, w) (on (P^1)^k
+    every w_S is p!, and kappa is the largest absolute column sum of C).
+
+    So the slots only need to grow with the sums they hold.  They start wide
+    enough for kappa^min(8, n_max) * max(w) under a sign bit.  Before each
+    iterate, if kappa * max_T s_T(n) would not fit under the sign bit, every
+    row is re-slotted (_reslot) to the width that holds
+    kappa^min(8, n_max - n) * max_T s_T(n).  The slot bias is built once
+    per width.  The subset exponents are validated once, as a class, and
+    every iterate's class is built from them.
     """
     if not 0 <= p <= f.dim:
         raise DegreeRangeError(f"degree {p} out of range 0..{f.dim}")
@@ -259,15 +315,22 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
     weights = [omega_p[e] for e in exponents]
     CohClass.make(space, p, dict.fromkeys(exponents, 1))  # checks the exponents once
     basis = sorted((e, t) for t, e in enumerate(exponents))  # CohClass term order
-    norm = max(sum(abs(x) for x in row) for row in op.matrix)
-    width = (sum(weights) * norm**n_max).bit_length() // 8 + 1
+    m = len(exponents)
+    kappa = _growth_bound(op.matrix, weights)
+    width = _slot_width(kappa ** min(_LOOKAHEAD, n_max) * max(weights))
+    bias = _fill(1 << (8 * width - 1), m, width)
     steps = [[(j, c) for j, c in enumerate(row) if c] for row in op.matrix]
-    rows = [1 << (8 * width * i) for i in range(len(exponents))]
+    rows = [1 << (8 * width * i) for i in range(m)]
     out: list[CohClass] = []
     for n in range(n_max + 1):
-        sums = _abs_column_sums(rows, weights, width)
+        sums = _abs_column_sums(rows, weights, width, bias)
         out.append(CohClass(space, p, tuple((e, sums[t]) for e, t in basis if sums[t])))
         if n < n_max:
+            top = max(sums)
+            if (kappa * top) >> (8 * width - 1):
+                wider = _slot_width(kappa ** min(_LOOKAHEAD, n_max - n) * top)
+                rows = _reslot(rows, width, bias, wider)
+                width, bias = wider, _fill(1 << (8 * wider - 1), m, wider)
             rows = [sum(c * rows[j] for j, c in nonzero) for nonzero in steps]
     return out
 

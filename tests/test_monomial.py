@@ -322,8 +322,10 @@ def test_sequences_match_cut_then_pair_definition(f):
 def chain_cases(draw):
     """(f, p, n_max) over fibred, unfibred and diagonal maps, every p in 0..k.
 
-    A diagonal map's compound is diagonal, so its largest entry meets the
-    slot bound ||C||_inf^n of the packed chain exactly at every n.
+    A diagonal map's compound is diagonal, so its weighted column sums grow
+    by exactly the growth bound kappa at every iterate, and the packed chain
+    re-slots where the next iterate would first overflow.  n_max runs to 40
+    for k <= 3, which crosses several re-slots.
     """
     kind = draw(st.sampled_from(["fibred", "unfibred", "diagonal"]))
     if kind == "fibred":
@@ -337,7 +339,7 @@ def chain_cases(draw):
             mat = draw(matrices(k, 5))
             assume(det(mat) != 0)
         f = MonomialMap(mat)
-    return f, draw(st.integers(0, f.dim)), draw(st.integers(0, 9))
+    return f, draw(st.integers(0, f.dim)), draw(st.integers(0, 40 if f.dim <= 3 else 9))
 
 
 def _classes_from_powers(f, p, powers):
@@ -365,6 +367,24 @@ def _mat_mul_chain(f, p, n_max):
     return out
 
 
+def _fixed_width_chain(f, p, n_max):
+    """The packed chain at one slot width for every iterate, sized by
+    sum(w) ||C||_inf^n_max: the route the growing slots replaced."""
+    space, op = f.space, compound(f.matrix, p)
+    exps = [tuple(int(i in s) for i in range(f.dim)) for s in op.subsets]
+    weights = [kaehler_power(space, p).coeffs[e] for e in exps]
+    m = len(exps)
+    norm = max(sum(abs(x) for x in row) for row in op.matrix)
+    width = (sum(weights) * norm**n_max).bit_length() // 8 + 1
+    bias = monomial._fill(1 << (8 * width - 1), m, width)
+    rows, out = [1 << (8 * width * i) for i in range(m)], []
+    for _ in range(n_max + 1):
+        out.append(CohClass.make(space, p, dict(zip(exps, monomial._abs_column_sums(
+            rows, weights, width, bias)))))
+        rows = [sum(c * rows[j] for j, c in enumerate(row) if c) for row in op.matrix]
+    return out
+
+
 @given(chain_cases())
 def test_packed_chain_matches_mat_mul_chain_and_minors(case):
     f, p, n_max = case
@@ -372,6 +392,15 @@ def test_packed_chain_matches_mat_mul_chain_and_minors(case):
     assert classes == _classes_from_powers(f, p, _mat_mul_chain(f, p, n_max))
     minors = [compound(mat_pow(f.matrix, n), p).matrix for n in range(n_max + 1)]
     assert classes == _classes_from_powers(f, p, minors)
+    assert classes == _fixed_width_chain(f, p, n_max)
+
+
+@given(chain_cases(), st.data())
+def test_prefix_does_not_depend_on_n_max(case, data):
+    # the lookahead sizes slots from n_max - n, so the width path differs
+    f, p, n_max = case
+    n = data.draw(st.integers(0, n_max))
+    assert pullback_class_sequence(f, p, n_max)[:n + 1] == pullback_class_sequence(f, p, n)
 
 
 def _per_entry_column_sums(rows, weights, width):
@@ -390,8 +419,9 @@ def _per_entry_column_sums(rows, weights, width):
 @settings(max_examples=60, deadline=None)
 @given(chain_cases(), st.data())
 def test_packed_read_matches_per_entry_reader(case, data):
-    # a square table of entries up to the slot bound ||C||^n of (f, p, n),
-    # drawn towards +-bound, read at the width pullback_class_sequence uses
+    # a square table of entries up to ||C||_inf^n of (f, p, n), drawn
+    # towards +-bound, read at the fixed width whose slots hold sum(w) * bound
+    # under a sign bit
     f, p, n = case
     op = compound(f.matrix, p)
     m = len(op.subsets)
@@ -402,28 +432,79 @@ def test_packed_read_matches_per_entry_reader(case, data):
     weights = [kaehler_power(f.space, p).coeffs[e] for e in exps]
     width = (sum(weights) * bound).bit_length() // 8 + 1
     rows = [sum(x << (8 * width * t) for t, x in enumerate(row)) for row in power]
-    sums = monomial._abs_column_sums(rows, weights, width)
+    bias = monomial._fill(1 << (8 * width - 1), m, width)
+    sums = monomial._abs_column_sums(rows, weights, width, bias)
     assert sums == _per_entry_column_sums(rows, weights, width)
     assert [CohClass.make(f.space, p, dict(zip(exps, sums)))] == _classes_from_powers(
         f, p, [power])
 
 
 @pytest.mark.parametrize("matrix, p, n_max", [
-    (((-3, 0), (1, 2)), 1, 7),     # (C^n)_00 = (-3)^n = -||C||^n at odd n
+    (((-3, 0), (1, 2)), 1, 7),     # (C^n)_00 = (-3)^n at odd n
     (((-3, 0), (1, 2)), 2, 7),     # 1x1 compound (-6)
     (((-1,),), 1, 0),
     (((-255, 0), (0, 1)), 1, 1),   # |entry| = 255 needs a second byte for the sign
-    # p = k: the weighted column sum k! |det|^n meets the bound
-    # sum(weights) ||C||^n, and ||C||^n alone fits one byte less
+    # p = k: the weighted column sum k! |det|^n grows by exactly kappa = |det|,
+    # and |det|^n alone fits one byte less
     (((-4, 0, 0), (0, 4, 0), (0, 0, 4)), 3, 1),            # 6 * |-64|
     (((2, 0, 0), (0, 2, 0), (0, 0, -2)), 3, 2),            # 6 * |-8|^2
     (((8, 0, 0, 0), (0, 8, 0, 0), (0, 0, 8, 0), (0, 0, 0, -32)), 4, 1),  # 24 * |-2^14|
     (((-8, 0, 0), (0, 8, 0), (0, 0, 1)), 2, 3),            # diagonal at p = 2
+    # kappa met exactly at every iterate, across re-slots
+    (((-2, 0), (0, 1)), 1, 40),    # (-2)^n: re-slots at n = 14, 22, 30, 38
+    (((-255,),), 1, 20),           # (-255)^n
+    (((2, 0, 0), (0, 2, 0), (0, 0, -2)), 3, 20),           # 6 * 8^n: first re-slot at n = 9
 ])
 def test_packed_chain_at_the_slot_bound(matrix, p, n_max):
     f = MonomialMap(matrix)
     assert pullback_class_sequence(f, p, n_max) == _classes_from_powers(
         f, p, _mat_mul_chain(f, p, n_max))
+
+
+def test_reslots_where_the_next_iterate_would_not_fit(monkeypatch):
+    # kappa = 2 and s(n) = 2^n: slots start at 2 bytes for 2^8, and the check
+    # at n fails first when 2 * 2^n reaches half the slot, 2^(8W-1)
+    widths = []
+
+    def recorded(rows, width, bias, wider, reslot=monomial._reslot):
+        widths.append((width, wider))
+        return reslot(rows, width, bias, wider)
+
+    monkeypatch.setattr(monomial, "_reslot", recorded)
+    f = MonomialMap(((-2, 0), (0, 1)))
+    classes = pullback_class_sequence(f, 1, 40)
+    assert widths == [(2, 3), (3, 4), (4, 5), (5, 6)]
+    assert [c.coeffs[(1, 0)] for c in classes] == [2**n for n in range(41)]
+
+
+@pytest.mark.parametrize("width, wider", [(1, 2), (1, 4), (2, 3), (3, 7)])
+def test_reslot_round_trips_signed_slots(width, wider):
+    half = 1 << (8 * width - 1)
+    entries = [0, 1, -1, half - 1, -(half - 1), -half]
+    table = [entries[i:] + entries[:i] for i in range(len(entries))]  # each entry in each slot
+    pack = lambda w, xs: sum(x << (8 * w * t) for t, x in enumerate(xs))
+    bias = monomial._fill(half, len(table), width)
+    assert monomial._reslot([pack(width, r) for r in table], width, bias, wider) == [
+        pack(wider, r) for r in table]
+
+
+def test_growth_bound_takes_the_ceiling():
+    # column 1: (1 * 1 + 2 * 1) / 2 = 1.5, so kappa is 2, not 1
+    assert monomial._growth_bound(((1, 1), (0, 1)), [1, 2]) == 2
+    assert monomial._growth_bound(((-3, 0), (1, 2)), [1, 1]) == 4
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    matrices(m, 9), st.lists(st.integers(1, 6), min_size=m, max_size=m),
+    st.lists(st.integers(-50, 50), min_size=m, max_size=m))))
+def test_growth_bound_bounds_one_step(case):
+    c, w, x = case
+    kappa = monomial._growth_bound(c, w)
+    s = lambda v: sum(wi * abs(vi) for wi, vi in zip(w, v))
+    assert s([sum(cij * xj for cij, xj in zip(row, x)) for row in c]) <= kappa * s(x)
+    columns = [s([row[j] for row in c]) for j in range(len(w))]
+    assert all(kappa * wj >= sj for wj, sj in zip(w, columns))
+    assert any((kappa - 1) * wj < sj for wj, sj in zip(w, columns))  # the least such
 
 
 def test_engine_does_not_multiply_matrices(monkeypatch):
