@@ -65,7 +65,6 @@ from .oracle import (
     OracleSizeError,
     RootFindingError,
     charpoly,
-    compound_vs_minors,
     eigen_degrees,
     pair_oracle,
     ring_expand_oracle,

@@ -7,13 +7,14 @@ compound (minor) matrices.
 
 The model computes the degree-p growth sequence of f^n as
 
-    lambda_p(f, p, n) = mass of sum_T ( sum_S w_S * |(C_p(A)^n)_{S,T}| ) h_T,
+    lambda_p(f, p, n) = mass of sum_T ( p! * sum_S |(C_p(A)^n)_{S,T}| ) h_T,
 
 where C_p is the p-th compound matrix indexed by lexicographic p-subsets,
-w_S are the monomial-basis coefficients of omega^p, and the absolute value
-is taken entrywise *after* powering.  This keeps the sequences exact
-integers, multiplicative over subsets (Cauchy-Binet), and with n-th roots
-converging to the products of the p largest eigenvalue moduli.
+p! is the coefficient of every monomial h_S of omega^p = p! sum_{|S|=p} h_S
+(h_i^2 = 0 on P^1), and the absolute value is taken entrywise *after*
+powering.  This keeps the sequences exact integers, multiplicative over
+subsets (Cauchy-Binet), and with n-th roots converging to the products of
+the p largest eigenvalue moduli.
 
 Every sequence here reads one table, the classes (f^n)^* omega^p for
 n = 0..N from pullback_class_sequence, and cohomology.sequence_pairings
@@ -30,13 +31,13 @@ and sums only, so the entries are exact whatever their size.
 The power C_p(A)^n is never formed as a matrix.  Each of its rows is one
 signed int with entry T in slot T; an iterate adds small multiples of rows
 over the nonzero compound entries.  The slots grow with what they hold.
-The weighted column sums s_T(n) = sum_S w_S |(C^n)_{S,T}| bound every
-entry and grow by at most kappa = max_J ceil(sum_S w_S |C_{S,J}| / w_J)
-per iterate, so when kappa * max_T s_T(n) would not fit under a sign bit,
-every row is re-slotted to hold kappa^min(8, n_max - n) * max_T s_T(n).
-Rows are read with whole-int operations: the absolute value of every slot
-at once (bias, mask and complement), weighted and added into one
-accumulator that is split into slots once per iterate.
+The column sums s_T(n) = sum_S |(C^n)_{S,T}| bound every entry and grow
+by at most kappa, the largest absolute column sum of C, per iterate, so
+when kappa * max_T s_T(n) would not fit under a sign bit, every row is
+re-slotted to hold kappa^min(8, n_max - n) * max_T s_T(n).  Rows are read
+with whole-int operations: the absolute value of every slot at once (bias,
+mask and complement), added into one accumulator that is split into slots
+once per iterate.
 
 When a fibration by the first l coordinates is marked, A must be block
 lower-triangular for the split {0..l-1} | {l..k-1}; the base block then
@@ -46,6 +47,7 @@ drives the base sequences (c_p) and the fiber block the relative ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -54,7 +56,6 @@ from .cohomology import (
     DegreeRangeError,
     FibrationError,
     Space,
-    kaehler_power,
     sequence_pairings,
 )
 from .intmat import IntMatrix, det, freeze, submatrix
@@ -223,41 +224,37 @@ def _fill(value: int, m: int, width: int) -> int:
     return int.from_bytes(value.to_bytes(width, "little") * m, "little")
 
 
-def _growth_bound(matrix: IntMatrix, weights: list[int]) -> int:
-    """kappa = max_J ceil(sum_S w_S |C_{S,J}| / w_J), so that the weighted
-    column sums s_T(x) = sum_S w_S |x_S| of any column x obey
-    s(C x) <= kappa s(x).
+def _growth_bound(matrix: IntMatrix) -> int:
+    """kappa = max_J sum_S |C_{S,J}|, the largest absolute column sum, so
+    that s(x) = sum_S |x_S| of any column x obeys s(C x) <= kappa s(x).
 
-    Proof: s(C x) = sum_S w_S |sum_J C_{S,J} x_J|
-    <= sum_J (sum_S w_S |C_{S,J}|) |x_J| <= sum_J kappa w_J |x_J| = kappa s(x).
+    Proof: s(C x) = sum_S |sum_J C_{S,J} x_J|
+    <= sum_J (sum_S |C_{S,J}|) |x_J| <= kappa s(x).
     """
-    return max(
-        -(-sum(w * abs(row[j]) for w, row in zip(weights, matrix)) // weights[j])
-        for j in range(len(weights))
-    )
+    return max(sum(abs(x) for x in column) for column in zip(*matrix))
 
 
-def _abs_column_sums(rows: list[int], weights: list[int], width: int, bias: int) -> list[int]:
-    """s_T = sum_S w_S |x_{S,T}| for each slot T, where packed row R_S holds
-    entry x_{S,T} in slot T of W = width bytes, with w_S the weight of R_S,
-    and bias = _fill(half, m, W) with half = 2^(8W-1).  These are the sums
-    pullback_class_sequence sizes its slots by.
+def _abs_column_sums(rows: list[int], width: int, bias: int) -> list[int]:
+    """s_T = sum_S |x_{S,T}| for each slot T, where packed row R_S holds
+    entry x_{S,T} in slot T of W = width bytes, and bias = _fill(half, m, W)
+    with half = 2^(8W-1).  These are the sums pullback_class_sequence sizes
+    its slots by.
 
     Whole-int operations read every slot of a row at once.  u = R + bias
     holds x + half in the slot of each entry x (-half <= x < half), so its
     top bit is set exactly where x >= 0; neg has a 1 at the bottom of each
     slot with x < 0; and |R| = (u ^ (bias - neg)) + neg clears the top bit
     of the nonnegative slots and complements the negative ones
-    (half - 1 - (x + half) + 1 = -x).  The weighted |R_S| go into one
-    accumulator, split into slots once; the slots must hold every sum below
-    2^(8W) so that none carries into the next.
+    (half - 1 - (x + half) + 1 = -x).  The |R_S| go into one accumulator,
+    split into slots once; the slots must hold every sum below 2^(8W) so
+    that none carries into the next.
     """
     m, bits = len(rows), 8 * width
     acc = 0
-    for weight, row in zip(weights, rows):
+    for row in rows:
         u = row + bias
         neg = ((u & bias) ^ bias) >> (bits - 1)
-        acc += weight * ((u ^ (bias - neg)) + neg)
+        acc += (u ^ (bias - neg)) + neg
     image = acc.to_bytes(m * width, "little")
     return [int.from_bytes(image[at : at + width], "little") for at in range(0, m * width, width)]
 
@@ -290,16 +287,16 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
 
     Row S of C^n (C = C_p(A)) is kept packed as one signed int holding entry
     T in slot T.  One iterate is R_S <- sum of C[S][J] * R_J over the nonzero
-    entries of C, and _abs_column_sums reads the coefficients of its class,
-    the weighted column sums s_T(n) = sum_S w_S |(C^n)_{S,T}|, off the rows.
-    Every entry is at most its column's s_T(n), since w >= 1, and
-    s_T(n+1) <= kappa s_T(n) with kappa = _growth_bound(C, w) (on (P^1)^k
-    every w_S is p!, and kappa is the largest absolute column sum of C).
+    entries of C, and _abs_column_sums reads the column sums
+    s_T(n) = sum_S |(C^n)_{S,T}| off the rows.  The class has coefficient
+    p! * s_T(n) on h_T, since every coefficient of omega^p is p!.  Every
+    entry is at most its column's s_T(n), and s_T(n+1) <= kappa s_T(n) with
+    kappa = _growth_bound(C), the largest absolute column sum of C.
 
-    So the slots only need to grow with the sums they hold.  They start wide
-    enough for kappa^min(8, n_max) * max(w) under a sign bit.  Before each
-    iterate, if kappa * max_T s_T(n) would not fit under the sign bit, every
-    row is re-slotted (_reslot) to the width that holds
+    So the slots only need to grow with the sums they hold.  Every s_T(0)
+    is 1, so they start wide enough for kappa^min(8, n_max) under a sign
+    bit.  Before each iterate, if kappa * max_T s_T(n) would not fit under
+    the sign bit, every row is re-slotted (_reslot) to the width that holds
     kappa^min(8, n_max - n) * max_T s_T(n).  The slot bias is built once
     per width.  The subset exponents are validated once, as a class, and
     every iterate's class is built from them.
@@ -310,21 +307,20 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
         raise ValueError("n_max must be nonnegative")
     space = f.space
     op = f.compounds[p]
-    omega_p = kaehler_power(space, p).coeffs
     exponents = [_subset_exponent(space, s) for s in op.subsets]
-    weights = [omega_p[e] for e in exponents]
     CohClass.make(space, p, dict.fromkeys(exponents, 1))  # checks the exponents once
     basis = sorted((e, t) for t, e in enumerate(exponents))  # CohClass term order
     m = len(exponents)
-    kappa = _growth_bound(op.matrix, weights)
-    width = _slot_width(kappa ** min(_LOOKAHEAD, n_max) * max(weights))
+    weight = math.factorial(p)  # every coefficient of omega^p on (P^1)^k
+    kappa = _growth_bound(op.matrix)
+    width = _slot_width(kappa ** min(_LOOKAHEAD, n_max))
     bias = _fill(1 << (8 * width - 1), m, width)
     steps = [[(j, c) for j, c in enumerate(row) if c] for row in op.matrix]
     rows = [1 << (8 * width * i) for i in range(m)]
     out: list[CohClass] = []
     for n in range(n_max + 1):
-        sums = _abs_column_sums(rows, weights, width, bias)
-        out.append(CohClass(space, p, tuple((e, sums[t]) for e, t in basis if sums[t])))
+        sums = _abs_column_sums(rows, width, bias)
+        out.append(CohClass(space, p, tuple((e, weight * sums[t]) for e, t in basis if sums[t])))
         if n < n_max:
             top = max(sums)
             if (kappa * top) >> (8 * width - 1):

@@ -1,6 +1,6 @@
 """Independent reference values for the degree machinery.
 
-Three deliberately separate routes live here:
+Two deliberately separate routes live here:
 
 * eigen_degrees: the spectral route.  The exponent matrix is cut into
   diagonal blocks wherever a corner block is zero (_diagonal_blocks): a
@@ -23,9 +23,6 @@ Three deliberately separate routes live here:
   multiplies term lists outright with truncation and no intermediate
   collection or caching, providing an independent check of mul /
   kaehler_power / pair on small spaces.
-
-* compound_vs_minors: checks compound(A, p)^n against the minors of A^n
-  computed directly (multiplicativity of compounds), exact integers.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cohomology import CohClass, Space, unit_class
-from .intmat import IntMatrix, freeze, identity, mat_mul, mat_pow, trace
-from .monomial import NonDominantError, compound
+from .intmat import IntMatrix, freeze, identity, mat_mul, trace
+from .monomial import NonDominantError
 
 
 def __getattr__(name: str):
@@ -377,14 +374,3 @@ def pair_oracle(c1: CohClass, c2: CohClass) -> int:
         raise ValueError("pairing oracle needs complementary degrees")
     expanded = ring_expand_oracle(space, [c1, c2])
     return expanded.coeff(space.top)
-
-
-def compound_vs_minors(matrix, p: int, n: int) -> bool:
-    """Exact check that compound(A, p)^n equals the p-minors of A^n."""
-    mat = freeze(matrix)
-    direct = compound(mat_pow(mat, n), p).matrix
-    op = compound(mat, p)
-    powered = identity(len(op.subsets))
-    for _ in range(n):
-        powered = mat_mul(op.matrix, powered)
-    return direct == powered

@@ -102,6 +102,16 @@ class TestCompound:
         assert c2[0][0] == 1 * 5 - 2 * 4
         assert c2[2][2] == 5 * 10 - 6 * 8
 
+    @given(st.integers(2, 4).flatmap(lambda k: matrices(k, 5)), st.integers(1, 4))
+    def test_compound_of_a_power_is_the_power_of_the_compound(self, mat, n):
+        # singular draws included: C_p(A^n) = C_p(A)^n holds for every A
+        for p in range(len(mat) + 1):
+            op = compound(mat, p).matrix
+            powered = identity(len(op))
+            for _ in range(n):
+                powered = mat_mul(op, powered)
+            assert compound(mat_pow(mat, n), p).matrix == powered
+
     @given(st.integers(2, 4).flatmap(lambda k: st.tuples(matrices(k), matrices(k))))
     def test_multiplicative_in_the_matrix(self, pair_of_matrices):
         a, b = pair_of_matrices
@@ -342,16 +352,21 @@ def chain_cases(draw):
     return f, draw(st.integers(0, f.dim)), draw(st.integers(0, 40 if f.dim <= 3 else 9))
 
 
+def _weights(f, p):
+    """The exponents of the p-subsets and their coefficients in omega^p."""
+    exps = [tuple(int(i in s) for i in range(f.dim)) for s in compound(f.matrix, p).subsets]
+    return exps, [kaehler_power(f.space, p).coeffs[e] for e in exps]
+
+
 def _classes_from_powers(f, p, powers):
-    """sum_S w_S |P_{S,T}| h_T for each compound power P, as in the model."""
+    """sum_S w_S |P_{S,T}| h_T for each compound power P, with w_S the
+    coefficients of omega^p, as in the model."""
     space = f.space
-    subsets = compound(f.matrix, p).subsets
-    exps = [tuple(int(i in s) for i in range(f.dim)) for s in subsets]
-    weights = [kaehler_power(space, p).coeffs[e] for e in exps]
+    exps, weights = _weights(f, p)
     return [
         CohClass.make(space, p, {
             exps[t]: sum(w * abs(row[t]) for w, row in zip(weights, power))
-            for t in range(len(subsets))
+            for t in range(len(exps))
         })
         for power in powers
     ]
@@ -369,18 +384,17 @@ def _mat_mul_chain(f, p, n_max):
 
 def _fixed_width_chain(f, p, n_max):
     """The packed chain at one slot width for every iterate, sized by
-    sum(w) ||C||_inf^n_max: the route the growing slots replaced."""
-    space, op = f.space, compound(f.matrix, p)
-    exps = [tuple(int(i in s) for i in range(f.dim)) for s in op.subsets]
-    weights = [kaehler_power(space, p).coeffs[e] for e in exps]
+    ||C||_inf^n_max, and read entry by entry at the weights of omega^p:
+    the route the growing slots and the packed reader replaced."""
+    op = compound(f.matrix, p)
+    exps, weights = _weights(f, p)
     m = len(exps)
     norm = max(sum(abs(x) for x in row) for row in op.matrix)
-    width = (sum(weights) * norm**n_max).bit_length() // 8 + 1
-    bias = monomial._fill(1 << (8 * width - 1), m, width)
+    width = (norm**n_max).bit_length() // 8 + 1
     rows, out = [1 << (8 * width * i) for i in range(m)], []
     for _ in range(n_max + 1):
-        out.append(CohClass.make(space, p, dict(zip(exps, monomial._abs_column_sums(
-            rows, weights, width, bias)))))
+        out.append(CohClass.make(f.space, p, dict(zip(exps, _per_entry_column_sums(
+            rows, weights, width)))))
         rows = [sum(c * rows[j] for j, c in enumerate(row) if c) for row in op.matrix]
     return out
 
@@ -420,23 +434,22 @@ def _per_entry_column_sums(rows, weights, width):
 @given(chain_cases(), st.data())
 def test_packed_read_matches_per_entry_reader(case, data):
     # a square table of entries up to ||C||_inf^n of (f, p, n), drawn
-    # towards +-bound, read at the fixed width whose slots hold sum(w) * bound
-    # under a sign bit
+    # towards +-bound, read at the fixed width whose slots hold a column's
+    # m * bound under a sign bit
     f, p, n = case
     op = compound(f.matrix, p)
     m = len(op.subsets)
     bound = max(sum(abs(x) for x in row) for row in op.matrix) ** n
     entry = st.one_of(st.sampled_from([bound, -bound, 0]), st.integers(-bound, bound))
     power = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
-    exps = [tuple(int(i in s) for i in range(f.dim)) for s in op.subsets]
-    weights = [kaehler_power(f.space, p).coeffs[e] for e in exps]
-    width = (sum(weights) * bound).bit_length() // 8 + 1
+    exps, _ = _weights(f, p)
+    width = (m * bound).bit_length() // 8 + 1
     rows = [sum(x << (8 * width * t) for t, x in enumerate(row)) for row in power]
     bias = monomial._fill(1 << (8 * width - 1), m, width)
-    sums = monomial._abs_column_sums(rows, weights, width, bias)
-    assert sums == _per_entry_column_sums(rows, weights, width)
-    assert [CohClass.make(f.space, p, dict(zip(exps, sums)))] == _classes_from_powers(
-        f, p, [power])
+    sums = monomial._abs_column_sums(rows, width, bias)
+    assert sums == _per_entry_column_sums(rows, [1] * m, width)
+    scaled = {e: math.factorial(p) * s for e, s in zip(exps, sums)}
+    assert [CohClass.make(f.space, p, scaled)] == _classes_from_powers(f, p, [power])
 
 
 @pytest.mark.parametrize("matrix, p, n_max", [
@@ -488,23 +501,32 @@ def test_reslot_round_trips_signed_slots(width, wider):
         pack(wider, r) for r in table]
 
 
-def test_growth_bound_takes_the_ceiling():
-    # column 1: (1 * 1 + 2 * 1) / 2 = 1.5, so kappa is 2, not 1
-    assert monomial._growth_bound(((1, 1), (0, 1)), [1, 2]) == 2
-    assert monomial._growth_bound(((-3, 0), (1, 2)), [1, 1]) == 4
+def test_growth_bound_is_the_largest_column_sum():
+    assert monomial._growth_bound(((1, 1), (0, 1))) == 2
+    # the largest absolute row sum is 3
+    assert monomial._growth_bound(((-3, 0), (1, 2))) == 4
 
 
 @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
-    matrices(m, 9), st.lists(st.integers(1, 6), min_size=m, max_size=m),
-    st.lists(st.integers(-50, 50), min_size=m, max_size=m))))
+    matrices(m, 9), st.lists(st.integers(-50, 50), min_size=m, max_size=m))))
 def test_growth_bound_bounds_one_step(case):
-    c, w, x = case
-    kappa = monomial._growth_bound(c, w)
-    s = lambda v: sum(wi * abs(vi) for wi, vi in zip(w, v))
+    c, x = case
+    kappa = monomial._growth_bound(c)
+    s = lambda v: sum(abs(vi) for vi in v)
     assert s([sum(cij * xj for cij, xj in zip(row, x)) for row in c]) <= kappa * s(x)
-    columns = [s([row[j] for row in c]) for j in range(len(w))]
-    assert all(kappa * wj >= sj for wj, sj in zip(w, columns))
-    assert any((kappa - 1) * wj < sj for wj, sj in zip(w, columns))  # the least such
+    columns = [s([row[j] for row in c]) for j in range(len(c))]
+    assert all(kappa >= sj for sj in columns)
+    assert any(kappa - 1 < sj for sj in columns)  # the least such
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_every_kaehler_coefficient_on_lines_is_p_factorial(k):
+    # pullback_class_sequence scales its column sums by this one weight
+    space = Space((1,) * k)
+    for p in range(k + 1):
+        coeffs = kaehler_power(space, p).coeffs
+        assert len(coeffs) == math.comb(k, p)
+        assert set(coeffs.values()) == {math.factorial(p)}
 
 
 def test_engine_does_not_multiply_matrices(monkeypatch):

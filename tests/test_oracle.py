@@ -23,7 +23,6 @@ from dyndeg.oracle import (
     OracleSizeError,
     RootFindingError,
     charpoly,
-    compound_vs_minors,
     eigen_degrees,
     pair_oracle,
     ring_expand_oracle,
@@ -446,10 +445,3 @@ class TestRingExpandOracle:
         c1 = CohClass.make(space, 1, {(1, 0, 0): 2, (0, 0, 1): 5})
         c2 = kaehler_power(space, 2)
         assert pair_oracle(c1, c2) == pair(c1, c2)
-
-
-class TestCompoundVsMinors:
-    @given(st.integers(2, 4).flatmap(matrices), st.integers(1, 4))
-    def test_agreement(self, mat, n):
-        for p in range(len(mat) + 1):
-            assert compound_vs_minors(mat, p, n)
