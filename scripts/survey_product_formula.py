@@ -18,7 +18,6 @@ be written (checked before the survey), 3 otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -31,7 +30,7 @@ from dyndeg import (
     monomial_oracle_profile,
     product_formula,
 )
-from dyndeg.cli import JobValidationError, _check_settings, _require, _write_out
+from dyndeg.cli import JobValidationError, _check_settings, _json_text, _require, _write_out
 from dyndeg.degrees import DEFAULT_ESTIMATE_TOL
 from dyndeg.sampling import fibration_shapes, random_fibered_map
 
@@ -137,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     _print_report(report)
     if args.out:
         try:
-            _write_out(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+            _write_out(args.out, _json_text(report) + "\n")
         except JobValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

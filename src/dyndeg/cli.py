@@ -32,9 +32,11 @@ command exits 1 otherwise.
 
 Command-line --n-max/--tol/--seed override the job file.  Reports carry no
 timestamps and JSON output is sorted, so a fixed job and seed reproduce
-byte-identical output.  main reuses one parser per process (each call still
-parses into a fresh namespace), and builds table and csv rows only for the
-formats that print them.
+byte-identical output.  Every JSON report is written by one writer,
+_json_text, whose text matches json.dumps(sort_keys=True, indent=2) byte for
+byte; it refuses values a report never holds with TypeError.  main reuses
+one parser per process (each call still parses into a fresh namespace), and
+builds table and csv rows only for the formats that print them.
 
 Exit codes: 0 success, 1 invalid job file, arguments or --out file (checked
 before any work), 2 computation error (collapse, root-finding failure, a
@@ -61,6 +63,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Sequence
 
 from . import monomial, rational, suite as suite_mod
@@ -430,7 +433,7 @@ def _emit(args: argparse.Namespace, report: dict, rows: Callable[[], list[dict]]
     """Writes the report; rows() builds the table/csv rows, so json never does."""
     fmt = args.format
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
@@ -447,6 +450,67 @@ def _emit(args: argparse.Namespace, report: dict, rows: Callable[[], list[dict]]
         _write_out(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT_WORDS.get(text, text)
+
+
+# Keyed by exact type: a subclass of a listed type, such as a str- or
+# int-valued Enum member, is not a report value and raises TypeError.
+_JSON_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value: Any) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), built in one
+    recursive pass.  With indent set, json.dumps runs its pure-Python
+    encoder; this writer makes each container one join of its children's
+    texts, and a list of scalars of one type one join with no recursion.
+
+    It takes what reports hold: dicts with str keys, lists, tuples (written
+    as lists), str, int, float (NaN and +-Infinity as json.dumps writes
+    them), bool and None.  Anything else raises TypeError; so does a key
+    that is not a str, since the string encoder refuses it.
+    """
+    return _json_value(value, "\n")
+
+
+def _json_value(value: Any, newline: str) -> str:
+    """value's text, where newline is "\n" plus the indent of value's line."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            # a scalar value is written here, without a call of its own
+            scalar = _JSON_SCALARS.get(type(item))
+            parts.append(_json_str(key) + ": "
+                         + (scalar(item) if scalar else _json_value(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        parts = map(scalar, value) if scalar else [_json_value(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _write_out(path: str, text: str | None = None) -> None:

@@ -36,20 +36,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    """Binary-power a square matrix."""
-    if n < 0:
-        raise ValueError("negative powers are not defined here")
-    result = identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
-
-
 def trace(a: IntMatrix) -> int:
     return sum(a[i][i] for i in range(len(a)))
 

@@ -1,4 +1,5 @@
 import csv
+import enum
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dyndeg import cli
 from dyndeg.degrees import VerdictStatus, Verdict
@@ -731,6 +733,61 @@ class TestReportRows:
                 assert code == 0 and json.loads(out)["command"] == command
         code, out, _ = run(capsys, "suite", "--n-max", "5", "--format", "json")
         assert code == 3 and json.loads(out)["command"] == "suite"
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é ✓ 😀 \u2028"]),
+)
+# Lists of one scalar type are written by one join; lists of mixed values,
+# tuples and dicts recurse.
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+class Colour(enum.Enum):
+    RED = 1
+
+
+class TestJsonText:
+    @given(_json_trees)
+    @example([])
+    @example({})
+    @example([[], {}, [[]], {"a": {}}, ()])
+    @example({"b": [1, 2], "a": {"d": (), "c": [None, True, False]}, "": "\"\u00e9"})
+    @example([2**64, -(2**200), *_EDGE_FLOATS])
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"},
+        {"a": 1, 2: "b"},
+        [{"a": {1: None}}],
+        {1, 2},
+        {"a": [frozenset()]},
+        Colour.RED,
+        [Colour.RED, Colour.RED],
+    ], ids=["int-key", "mixed-keys", "nested-int-key", "set", "nested-frozenset",
+            "enum", "enum-list"])
+    def test_refuses_what_reports_do_not_hold(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 # Runs in a fresh interpreter: certified-coprime, skew and Lyness jobs, then

@@ -11,7 +11,6 @@ from dyndeg import cli, oracle
 from dyndeg.cohomology import (
     CohClass,
     Space,
-    degree_exponents,
     kaehler_power,
     mul,
     pair,

@@ -18,21 +18,21 @@ from dyndeg import cli, rational
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(argv):
+def _run(argv, cwd=None):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=300, cwd=cwd,
     )
 
 
 @pytest.mark.parametrize("argv, code", [
     # n = 7 is the first iterate whose squarings take the Kronecker path
     pytest.param(["skew_product_demo.py", "--n-max", "7"], 0, id="argv0"),
-    pytest.param(["survey_product_formula.py", "--draws", "1", "--k-max", "3", "--n-max", "20"],
-                 0, id="argv1"),
+    pytest.param(["survey_product_formula.py", "--draws", "1", "--k-max", "3", "--n-max", "20",
+                  "--out", "survey.json"], 0, id="argv1"),
     # a tolerance of 1 or more would turn every FAIL into PASS
     pytest.param(["skew_product_demo.py", "--n-max", "3", "--tol", "inf"], 1, id="demo-tol-inf"),
     pytest.param(["skew_product_demo.py", "--n-max", "1"], 1, id="demo-n-max-1"),
@@ -51,14 +51,18 @@ def _run(argv):
                  1, id="survey-out-dir"),
     pytest.param(["skew_product_demo.py", "--base-exp", "0"], 1, id="demo-base-exp-0"),
 ])
-def test_script_exits_zero(argv, code):
-    result = _run(argv)
+def test_script_exits_zero(argv, code, tmp_path):
+    result = _run(argv, cwd=tmp_path)
     assert result.returncode == code, result.stderr
     if code == 1:
         assert result.stderr.startswith("error: ")
         assert not result.stdout
     else:
         assert result.stdout
+    if "--out" in argv and code != 1:
+        # the survey report is written as json.dumps(sort_keys=True, indent=2) would
+        text = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
