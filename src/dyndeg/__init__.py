@@ -19,11 +19,8 @@ from .cohomology import (
     alpha,
     alpha_weight,
     base_pullback_power,
-    effective_leq,
-    hyperplane,
     kaehler_class,
     kaehler_power,
-    mass,
     mul,
     pair,
     pairings,
@@ -57,7 +54,6 @@ from .monomial import (
     lambda_relative_sequence,
     lambda_sequence,
     pullback_class_sequence,
-    topological_degree,
     validate_fibration,
 )
 from .oracle import (

@@ -7,7 +7,8 @@ compound (minor) matrices.
 
 The model computes the degree-p growth sequence of f^n as
 
-    lambda_p(f, p, n) = mass of sum_T ( p! * sum_S |(C_p(A)^n)_{S,T}| ) h_T,
+    lambda_p(f, p, n) = the pairing with omega^{k-p} of
+                        sum_T ( p! * sum_S |(C_p(A)^n)_{S,T}| ) h_T,
 
 where C_p is the p-th compound matrix indexed by lexicographic p-subsets,
 p! is the coefficient of every monomial h_S of omega^p = p! sum_{|S|=p} h_S
@@ -134,10 +135,6 @@ class MonomialMap:
         if self.fibration_dim is None:
             raise FibrationError("map has no fibration marked")
         return self.fibration_dim
-
-
-def topological_degree(f: MonomialMap) -> int:
-    return abs(det(f.matrix))
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,7 @@ def pullback_class_sequence(f: MonomialMap, p: int, n_max: int) -> list[CohClass
 
 
 def lambda_sequence(f: MonomialMap, p: int, n_max: int) -> list[int]:
-    """lambda_p(f^n) = mass((f^n)^* omega^p) for n = 0..n_max."""
+    """lambda_p(f^n), the pairing of (f^n)^* omega^p with omega^{k-p}, n = 0..n_max."""
     return sequence_pairings(pullback_class_sequence(f, p, n_max), f.space, p, "total")
 
 

@@ -127,15 +127,24 @@ class MultiHomPoly:
 
     @classmethod
     def make(cls, space: Space, coeffs) -> "MultiHomPoly":
-        """The polynomial of (full exponent vector, coefficient) pairs;
-        repeated vectors add up.  ValueError on a vector of the wrong
-        length, a negative exponent, or two multidegrees."""
+        """The polynomial of (full exponent vector, coefficient) pairs, as a
+        mapping or a list; repeated vectors add up.  The one validator of
+        job polynomials: ValueError on an entry that is not a pair, an
+        exponent or value that is not an int (bool refused), a vector of
+        the wrong length, a negative exponent, or two multidegrees."""
         nvars = num_variables(space)
         cleaned: dict[tuple[int, ...], int] = {}
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        for exponents, value in items:
-            value = int(value)
-            e = tuple(int(x) for x in exponents)
+        for pair in items:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError("coeffs entries must be [exponents, value] pairs")
+            exponents, value = pair
+            if not isinstance(exponents, (list, tuple)) or any(
+                    type(x) is not int for x in exponents):
+                raise ValueError("exponent vectors must be lists of integers")
+            if type(value) is not int:
+                raise ValueError("coefficients must be integers")
+            e = tuple(exponents)
             if len(e) != nvars:
                 raise ValueError(f"exponent vector needs {nvars} entries, got {len(e)}")
             if any(x < 0 for x in e):
@@ -886,14 +895,15 @@ def compose(f: RationalMapDesc, g: RationalMapDesc) -> RationalMapDesc:
 
 @dataclass(frozen=True)
 class IterateData:
-    """Reduced iterate data: multidegrees of f^1..f^N and degree masses.
+    """Reduced iterate data: multidegrees of f^1..f^N and degrees lambda1.
 
     The multidegrees are those of the reduced iterates, whether read from
     composed iterates or, for a product of maps of P^1, from powers of f's
     multidegree matrix (see iterate_multidegrees).
 
-    lambda1[n] = mass((f^n)^* omega) for n = 0..N, the total sequence of
-    cohomology.sequence_pairings (index 0 is the identity normalization).
+    lambda1[n] is the pairing of (f^n)^* omega with omega^{k-1} for
+    n = 0..N, the total sequence of cohomology.sequence_pairings (index 0
+    is the identity normalization).
     truncated is set when the per-component total-degree cap stopped the
     iteration early; the fields then hold the computed prefix.
     """
@@ -901,10 +911,6 @@ class IterateData:
     multidegrees: tuple[IntMatrix, ...]
     lambda1: tuple[int, ...]
     truncated: bool
-
-    @property
-    def n_max(self) -> int:
-        return len(self.multidegrees)
 
 
 def _pullback_table(space: Space, multidegrees: Sequence[IntMatrix]) -> list[CohClass]:
@@ -921,11 +927,11 @@ def iterate_multidegrees(
     n_max: int,
     max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
 ) -> IterateData:
-    """Reduced multidegrees of f, f^2, ..., f^n_max and their degree masses.
+    """Reduced multidegrees of f, f^2, ..., f^n_max and their degrees lambda1.
 
     Iteration stops early (truncated = True) as soon as any component's
     total degree would exceed max_total_degree; the computed prefix is
-    returned.  lambda1[0] is the mass of omega itself.
+    returned.  lambda1[0] is the pairing of omega with omega^{k-1}.
 
     Each iterate is composed with f and reduced, except for a product of
     maps of P^1: every factor is P^1 and the multidegree matrix is

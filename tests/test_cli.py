@@ -186,6 +186,21 @@ class TestVerifyProductCommand:
         assert code == 1
         assert "fibration" in err
 
+    @pytest.mark.parametrize("fixture", ["monomial_job", "skew_job"])
+    def test_out_of_range_p_range_fails_before_any_work(self, capsys, request, monkeypatch,
+                                                        tmp_path, fixture):
+        def never(job):
+            raise AssertionError("profiles built before p_range was checked")
+
+        monkeypatch.setattr(cli, "_profiles", never)
+        payload = json.loads(Path(request.getfixturevalue(fixture)).read_text())
+        payload["p_range"] = [0, 99]
+        code, out, err = run(capsys, "verify-product", "--input",
+                             write_job(tmp_path, "range.json", payload))
+        assert code == 1
+        assert out == ""
+        assert err == "error: p_range must lie within [0, 2]\n"
+
     def test_skew_inconclusive_or_pass_exits_zero(self, capsys, skew_job):
         code, out, _ = run(capsys, "verify-product", "--input", skew_job,
                            "--format", "json")

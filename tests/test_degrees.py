@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dyndeg.cohomology import (
-    FibrationError, Space, alpha, alpha_weight, kaehler_power, mass, pairings,
+    FibrationError, Space, alpha, alpha_weight, kaehler_power, pairings,
 )
 from dyndeg.degrees import (
     DEFAULT_EXACT_TOL,
@@ -27,6 +27,7 @@ from dyndeg.degrees import (
 )
 from dyndeg.intmat import det, freeze
 from dyndeg.monomial import MonomialMap, c_p_sequence, pullback_class_sequence
+from dyndeg.oracle import pair_oracle
 from dyndeg.rational import (
     MultiHomPoly,
     RationalMapDesc,
@@ -328,10 +329,13 @@ def _estimated(values, tol):
 
 
 def _reference_monomial_profile(f, n_max, tol):
-    """The previous monomial route: one table per p, estimate on each list."""
+    """The previous monomial route: one table per p, estimate on each list,
+    each class paired with omega^{k-p} by the brute-force oracle."""
     k = f.dim
     tables = [pullback_class_sequence(f, p, n_max) for p in range(k + 1)]
-    degrees = tuple(_estimated([mass(c) for c in table], tol) for table in tables)
+    degrees = tuple(
+        _estimated([pair_oracle(c, kaehler_power(f.space, k - p)) for c in table], tol)
+        for p, table in enumerate(tables))
     if f.fibration_dim is None:
         return DegreeProfile(k, None, degrees, label="monomial-engine")
     l = f.fibration_dim

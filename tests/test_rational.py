@@ -24,12 +24,12 @@ from dyndeg.cohomology import (
     alpha,
     base_pullback_power,
     kaehler_power,
-    mass,
     mul,
     pair,
 )
 from dyndeg.intmat import det
 from dyndeg.monomial import MonomialMap, lambda_sequence
+from dyndeg.oracle import pair_oracle
 from dyndeg.rational import (
     CompositionCollapseError,
     DominanceWarning,
@@ -531,7 +531,7 @@ class TestMakeFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.sampled_from([Space((1,)), P2, P1xP1, Space((1, 2))]),
-           st.sampled_from(["valid", "length", "negative", "degree"]))
+           st.sampled_from(["valid", "length", "negative", "degree", "type"]))
     def test_make_validates_and_round_trips(self, tmp_path_factory, data, space, flaw):
         nvars = num_variables(space)
         degs = tuple(data.draw(st.integers(0, 3)) for _ in space.factors)
@@ -555,6 +555,16 @@ class TestMakeFuzz:
         elif flaw == "negative":
             bad = list(data.draw(st.sampled_from(list(_monomials(space, degs)))))
             bad[data.draw(st.integers(0, nvars - 1))] = data.draw(st.integers(-3, -1))
+            bad = tuple(bad)
+        elif flaw == "type":
+            # a float, bool or str where an int goes, in the vector or the value
+            bad = list(data.draw(st.sampled_from(list(_monomials(space, degs)))))
+            retype = data.draw(st.sampled_from([float, bool, str]))
+            slot = data.draw(st.integers(0, nvars))
+            if slot == nvars:
+                value = retype(value)
+            else:
+                bad[slot] = retype(bad[slot])
             bad = tuple(bad)
         else:
             # a term of another multidegree survives beside a surviving one
@@ -1196,7 +1206,7 @@ class TestSkewProduct:
     def test_truncation_is_flagged(self):
         data = iterate_multidegrees(skew_map(), n_max=10, max_total_degree=100)
         assert data.truncated
-        assert data.n_max == 4  # 3^5 = 243 > 100 stops the fifth iterate
+        assert len(data.multidegrees) == 4  # 3^5 = 243 > 100 stops the fifth iterate
 
     def test_base_map_and_fiber_degrees(self):
         f = skew_map()
@@ -1252,11 +1262,12 @@ def _pullback(space, rows):
 
 def _composed_iterates(f, n_max, max_total_degree):
     """Reference for iterate_multidegrees: compose every iterate, whatever
-    the map, read its reduced multidegrees, and take the mass of each
-    pullback class on its own."""
+    the map, read its reduced multidegrees, and pair each pullback class
+    with omega^{k-1} on its own, by the brute-force oracle."""
     m = f.space.num_factors
+    omega = kaehler_power(f.space, f.space.dim - 1)
     rows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    lambda1 = [mass(_pullback(f.space, rows))]
+    lambda1 = [pair_oracle(_pullback(f.space, rows), omega)]
     multidegrees = []
     current = f
     for n in range(1, n_max + 1):
@@ -1266,7 +1277,7 @@ def _composed_iterates(f, n_max, max_total_degree):
         if any(sum(row) > max_total_degree for row in rows):
             return IterateData(tuple(multidegrees), tuple(lambda1), True)
         multidegrees.append(rows)
-        lambda1.append(mass(_pullback(f.space, rows)))
+        lambda1.append(pair_oracle(_pullback(f.space, rows), omega))
     return IterateData(tuple(multidegrees), tuple(lambda1), False)
 
 

@@ -111,3 +111,47 @@ def collect(tmp_path):
 
 def test_exact_report_fields_are_pinned(tmp_path):
     assert collect(tmp_path) == json.loads(PINS.read_text(encoding="utf-8"))
+
+
+# a skew product of (P^1)^3 over P^1 whose total degree is (n+3) 2^(n+1)
+P1_CUBED_SKEW = {
+    "type": "rational", "factors": [1, 1, 1], "fibration_dim": 1, "n_max": 5,
+    "components": [
+        [_poly(((2, 0, 0, 0, 0, 0), 1), ((1, 1, 0, 0, 0, 0), 1)),
+         _poly(((0, 2, 0, 0, 0, 0), 1), ((1, 1, 0, 0, 0, 0), -2))],
+        [_poly(((1, 0, 2, 0, 0, 0), 1), ((0, 1, 0, 2, 0, 0), 2)),
+         _poly(((1, 0, 1, 1, 0, 0), 1), ((0, 1, 2, 0, 0, 0), -1))],
+        [_poly(((1, 0, 1, 0, 1, 0), 1), ((0, 1, 0, 1, 0, 1), 1)),
+         _poly(((1, 0, 0, 1, 0, 1), 1), ((0, 1, 1, 0, 1, 0), 3))],
+    ],
+}
+
+
+def test_p1_cubed_skew_sequence_is_pinned(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(*args, _original=cli.rational_sequences):
+        seen.append(_original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "rational_sequences", spy)
+    path = tmp_path / "p1-cubed-skew.json"
+    path.write_text(json.dumps(P1_CUBED_SKEW))
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main(["sequence", "--input", str(path), "--format", "json"])
+    record = _exact_fields(code, text.getvalue())
+    assert record["exit"] == 0
+    assert record["truncated"] is False
+    # total (n+3) 2^(n+1), base 2^n, relative 2^(n+1)
+    assert record["sequences"] == [
+        ["total", 1, None, [6, 16, 40, 96, 224, 512]],
+        ["base", 1, None, [1, 2, 4, 8, 16, 32]],
+        ["relative", 1, None, [2, 4, 8, 16, 32, 64]],
+    ]
+    # M_n is lower-triangular with diagonal (2^n, 2^n, 1)
+    [(_, data)] = seen
+    assert len(data.multidegrees) == 5
+    for n, m in enumerate(data.multidegrees, start=1):
+        assert [m[i][i] for i in range(3)] == [2**n, 2**n, 1]
+        assert all(m[i][j] == 0 for i in range(3) for j in range(i + 1, 3))
